@@ -18,8 +18,8 @@ from .geometry import BoundaryKind, CameraPose, SphericalBoundary, WorldPolyline
     boundary_to_world, ceiling_height, column_longitudes, pixel_to_spherical, \
     world_to_boundary_samples
 from .pseudolabel import PseudoLabel, fuse, l1_loss, wbc_loss
-from .reprojection import BoundaryStack, build_stack, reproject_boundary, \
-    resample_to_columns
+from .reprojection import BoundaryStack, build_stack, build_stacks, \
+    reproject_boundary, resample_to_columns
 from .scene import Scene, ViewFrame
 from .sceneio import load_scene, save_scene
 from .selftrain import TrainConfig, TrainTrajectory, run, self_train_step
@@ -34,8 +34,8 @@ __all__ = [
     "MetricError", "NoiseSpec", "PseudoLabel", "RoomSpec", "Scene",
     "SceneFormatError", "SphericalBoundary", "TrainConfig", "TrainTrajectory",
     "ViewFrame", "WorldPolyline", "boundary_to_world", "build_stack",
-    "ceiling_height", "column_longitudes", "data_bounds", "density_map",
-    "depth_metrics", "evaluate_scene", "floor_polygon", "fuse",
+    "build_stacks", "ceiling_height", "column_longitudes", "data_bounds",
+    "density_map", "depth_metrics", "evaluate_scene", "floor_polygon", "fuse",
     "generate_scene", "iou2d", "iou3d", "l1_loss", "layout_depth",
     "load_scene", "lshape_room", "mlc_entropy", "ngon_room",
     "perturb", "pixel_to_spherical", "render_density", "reproject_boundary",

@@ -4,8 +4,7 @@ refine, render-density.
 Exit codes: 0 success, 2 usage error, 3 scene format/validation error,
 4 numeric or degenerate-geometry error. Failures emit a machine-readable
 JSON object on stderr. All subcommands are deterministic given their flags
-and seeds; MLC_THREADS may cap internal parallelism but never changes
-results (the current implementation is single-threaded).
+and seeds.
 """
 
 from __future__ import annotations
@@ -19,25 +18,9 @@ import sys
 from . import consistency, evaluation, pseudolabel, selftrain, sceneio, synth
 from .errors import LayoutError, SceneFormatError
 from .geometry import BoundaryKind
-from .reprojection import build_stack
-
-logger = logging.getLogger(__name__)
+from .reprojection import build_stack, build_stacks
 
 _ROOMS = ("square", "lshape", "ngon")
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("MLC_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        logger.warning("ignoring invalid MLC_THREADS=%r", raw)
-        return None
-    return cap
 
 
 def _load(args):
@@ -73,6 +56,8 @@ def cmd_synth(args) -> int:
 
 def cmd_reproject(args) -> int:
     scene = _load(args)
+    if args.target not in scene.view_ids:
+        raise ValueError(f"target view {args.target!r} not in scene")
     stack = build_stack(scene, args.target, _kind(args.kind))
     sceneio.write_stack_csv(stack, args.out)
     return 0
@@ -82,10 +67,8 @@ def cmd_pseudo_label(args) -> int:
     scene = _load(args)
     kind = _kind(args.kind)
     contributors = selftrain.select_views(scene.view_ids, args.view_fraction)
-    labels = {}
-    for f in scene.frames:
-        stack = build_stack(scene, f.view_id, kind, view_ids=contributors)
-        labels[f.view_id] = pseudolabel.fuse(stack, args.estimator, args.sigma_floor)
+    labels = {s.target_view: pseudolabel.fuse(s, args.estimator, args.sigma_floor)
+              for s in build_stacks(scene, kind, contributors)}
     scene.pseudo_labels = labels
     sceneio.save_scene(scene, args.out)
     if args.out_csv:
@@ -97,7 +80,8 @@ def cmd_pseudo_label(args) -> int:
 
 
 def _density_grid(scene, args):
-    polys = scene.world_polylines(floor_only=args.floor_only)
+    polys = scene.world_polylines((BoundaryKind.FLOOR,)) if args.floor_only \
+        else scene.world_polylines()
     return consistency.density_map(polys, args.grid[0], args.grid[1], args.padding)
 
 
@@ -125,6 +109,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    if args.grid[0] != args.grid[1]:
+        raise ValueError(f"refine needs a square entropy grid, got --grid "
+                         f"{args.grid[0]} {args.grid[1]}")
     scene = _load(args)
     cfg = selftrain.TrainConfig(
         max_iters=args.iters, damping=args.damping, estimator=args.estimator,
@@ -250,7 +237,6 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    _thread_cap()  # validated for forward compatibility; results never depend on it
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -64,8 +64,7 @@ def reproject_boundary(src: SphericalBoundary, src_pose: CameraPose,
 
 
 def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
-                        gap_max: float | None = None,
-                        source_lon: np.ndarray | None = None):
+                        gap_max: float | None = None):
     """Interpolate a re-projected boundary curve at the W column centers.
 
     The samples are treated as a closed curve (consecutive samples joined,
@@ -91,8 +90,7 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
         raise ValueError("resampling needs at least 2 samples")
     if gap_max is None:
         gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
-    if source_lon is None:
-        source_lon = column_longitudes(n)
+    source_lon = column_longitudes(n)
 
     lon = samples[:, 0]
     lat = samples[:, 1]
@@ -166,9 +164,24 @@ def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
     return (lat > 0.0) & (lat < math.pi / 2)
 
 
+def build_stacks(scene: Scene, kind: BoundaryKind,
+                 view_ids: list[str] | None = None,
+                 targets: list[str] | None = None) -> list[BoundaryStack]:
+    """Stacks for every target (default: all views, in frame order).
+
+    Each selected source view is lifted to world coordinates once and then
+    re-projected into every target, which is the N x N step of 360-MLC.
+    """
+    W = scene.image_width
+    dst = scene.frames if targets is None else [scene.frame(t) for t in targets]
+    polys = scene.world_polylines((kind,), view_ids)
+    if not polys:
+        raise ValueError(f"no view carries a {kind.value} boundary")
+    return [_stack_from_polylines(polys, f.pose, f.view_id, kind, W) for f in dst]
+
+
 def build_stack(scene: Scene, target: str, kind: BoundaryKind,
-                view_ids: list[str] | None = None,
-                gap_max: float | None = None) -> BoundaryStack:
+                view_ids: list[str] | None = None) -> BoundaryStack:
     """Assemble the W x N matrix of re-projected boundaries for one target.
 
     Every selected view (the target included when selected) is re-projected
@@ -176,28 +189,19 @@ def build_stack(scene: Scene, target: str, kind: BoundaryKind,
     falling on the wrong side of the horizon are masked invalid. Raises
     CoverageError if any column ends up with no valid entry.
     """
-    frames = scene.frames if view_ids is None else [scene.frame(v) for v in view_ids]
-    frames = [f for f in frames if f.boundary(kind) is not None]
-    if not frames:
-        raise ValueError(f"no view carries a {kind.value} boundary")
-    dst = scene.frame(target)
-    polys = [boundary_to_world(f.boundary(kind), scene.resolved_pose(f, kind),
-                               f.view_id) for f in frames]
-    return _stack_from_polylines(polys, dst.pose, target, kind,
-                                 scene.image_width, gap_max)
+    return build_stacks(scene, kind, view_ids, [target])[0]
 
 
 def _stack_from_polylines(polys: list[WorldPolyline], dst_pose: CameraPose,
-                          target: str, kind: BoundaryKind, W: int,
-                          gap_max: float | None = None) -> BoundaryStack:
-    """Stack assembly from pre-projected world polylines (shared by the
-    self-training loop, which reuses one world projection per source)."""
+                          target: str, kind: BoundaryKind,
+                          W: int) -> BoundaryStack:
+    """Stack assembly for one target from already lifted source polylines."""
     n = len(polys)
     lat = np.full((W, n), np.nan)
     valid = np.zeros((W, n), dtype=bool)
     for i, poly in enumerate(polys):
         samples = world_to_boundary_samples(poly, dst_pose)
-        col_lat, col_valid = resample_to_columns(samples, W, kind, gap_max)
+        col_lat, col_valid = resample_to_columns(samples, W, kind)
         in_range = _lat_in_range(col_lat, kind)
         col_valid &= np.where(np.isnan(col_lat), False, in_range)
         lat[:, i] = col_lat

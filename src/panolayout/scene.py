@@ -78,17 +78,18 @@ class Scene:
                              frame.pose.floor_height)
         return replace(frame.pose, ceil_height=h_c)
 
-    def world_polylines(self, floor_only: bool = False,
+    def world_polylines(self, kinds: tuple[BoundaryKind, ...] = (
+                            BoundaryKind.FLOOR, BoundaryKind.CEILING),
                         view_ids: list[str] | None = None) -> list[WorldPolyline]:
-        """Project every selected boundary to world coordinates."""
+        """Lift the selected views' boundaries of the given kinds to world
+        coordinates, frame by frame and in `kinds` order within a frame.
+
+        Each kind is projected with resolved_pose; frames lacking a kind are
+        skipped for it. This is the package's one scene-to-world lift.
+        """
         frames = self.frames if view_ids is None else [self.frame(v) for v in view_ids]
-        polys = []
-        for f in frames:
-            polys.append(boundary_to_world(f.boundary_floor, f.pose, f.view_id))
-            if not floor_only and f.boundary_ceiling is not None:
-                pose = self.resolved_pose(f, BoundaryKind.CEILING)
-                polys.append(boundary_to_world(f.boundary_ceiling, pose, f.view_id))
-        return polys
+        return [boundary_to_world(f.boundary(k), self.resolved_pose(f, k), f.view_id)
+                for f in frames for k in kinds if f.boundary(k) is not None]
 
     def with_boundaries(self, boundaries: dict[str, dict[BoundaryKind, SphericalBoundary]]) -> "Scene":
         """Copy of the scene with some frames' boundaries replaced."""

@@ -17,10 +17,9 @@ import numpy as np
 from .consistency import GRID_SIZE_DEFAULT, PADDING_DEFAULT, data_bounds, \
     density_map, mlc_entropy
 from .evaluation import floor_polygon, iou2d, iou3d
-from .geometry import BoundaryKind, SphericalBoundary, boundary_to_world, \
-    ceiling_height
+from .geometry import BoundaryKind, SphericalBoundary, ceiling_height
 from .pseudolabel import SIGMA_FLOOR_DEFAULT, fuse, l1_loss, wbc_loss
-from .reprojection import _stack_from_polylines
+from .reprojection import build_stacks
 from .scene import Scene
 
 LOSSES = ("wbc", "l1")
@@ -77,28 +76,11 @@ def select_views(view_ids: list[str], fraction: float) -> list[str]:
     return [view_ids[int(i)] for i in idx]
 
 
-def _source_polylines(scene: Scene, kind: BoundaryKind, view_ids: list[str]):
-    polys = []
-    for vid in view_ids:
-        f = scene.frame(vid)
-        if f.boundary(kind) is None:
-            continue
-        polys.append(boundary_to_world(f.boundary(kind),
-                                       scene.resolved_pose(f, kind), vid))
-    return polys
-
-
 def _fuse_all(scene: Scene, cfg: TrainConfig):
     """Pseudo-labels for every (view, kind) from the configured view subset."""
     contributors = select_views(scene.view_ids, cfg.view_fraction)
-    labels = {}
-    for kind in scene.kinds():
-        polys = _source_polylines(scene, kind, contributors)
-        for f in scene.frames:
-            stack = _stack_from_polylines(polys, f.pose, f.view_id, kind,
-                                          scene.image_width)
-            labels[(f.view_id, kind)] = fuse(stack, cfg.estimator, cfg.sigma_floor)
-    return labels
+    return {(s.target_view, kind): fuse(s, cfg.estimator, cfg.sigma_floor)
+            for kind in scene.kinds() for s in build_stacks(scene, kind, contributors)}
 
 
 def _step_losses(scene: Scene, labels) -> tuple[float, float]:

@@ -195,6 +195,24 @@ class TestErrorHandling:
         res = run_cli("metric", "--scene", str(tmp_path / "nope.json"))
         assert res.returncode == 2
 
+    def test_unknown_reproject_target_is_2(self, scene_path, tmp_path):
+        res = run_cli("reproject", "--scene", str(scene_path),
+                      "--target", "nope", "--out", str(tmp_path / "stack.csv"))
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        err = json.loads(res.stderr)
+        assert "nope" in err["error"]["message"]
+
+    def test_non_square_refine_grid_is_2(self, scene_path, tmp_path):
+        res = run_cli("refine", "--scene", str(scene_path), "--iters", "1",
+                      "--grid", "64", "32",
+                      "--out-traj", str(tmp_path / "traj.csv"),
+                      "--out-scene", str(tmp_path / "best.json"))
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert "grid" in err["error"]["message"]
+        assert not (tmp_path / "traj.csv").exists()
+
 
 class TestDeterminism:
     def test_thread_cap_does_not_change_bytes(self, tmp_path):

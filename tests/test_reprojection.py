@@ -6,10 +6,13 @@ import pytest
 from panolayout.errors import CoverageError
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
     column_longitudes
-from panolayout.reprojection import build_stack, reproject_boundary, \
-    resample_to_columns
+from panolayout.reprojection import build_stack, build_stacks, \
+    reproject_boundary, resample_to_columns
 from panolayout.scene import Scene, ViewFrame
-from panolayout.synth import generate_scene, ray_distances, square_room
+from panolayout.sceneio import save_scene
+from panolayout.selftrain import select_views
+from panolayout.synth import NoiseSpec, generate_scene, lshape_room, perturb, \
+    ray_distances, square_room
 
 from conftest import coaxial_cylinder_scene, random_boundary, random_pose, \
     rotation_about_y
@@ -209,3 +212,62 @@ class TestBuildStack:
         with pytest.raises(CoverageError) as exc:
             build_stack(scene, "a", BoundaryKind.FLOOR, view_ids=["b"])
         assert "columns" in str(exc.value)
+
+
+class TestBuildStacks:
+    def test_matches_per_target_build_stack(self):
+        # Half-view subsets of a noisy L-room leave some targets with
+        # uncovered columns; those raise CoverageError on both paths, and
+        # build_stacks must equal build_stack on every other target.
+        for seed in range(3):
+            clean = generate_scene(lshape_room(4.0), 8, 128, seed=seed)
+            noisy = perturb(clean, NoiseSpec(boundary_std=0.03, seed=seed + 1))
+            ids = select_views(noisy.view_ids, 0.5)
+            for kind in (BoundaryKind.FLOOR, BoundaryKind.CEILING):
+                refs = {}
+                for t in noisy.view_ids:
+                    try:
+                        refs[t] = build_stack(noisy, t, kind, ids)
+                    except CoverageError:
+                        pass
+                if len(refs) == len(noisy.view_ids):
+                    stacks = build_stacks(noisy, kind, ids)
+                else:
+                    with pytest.raises(CoverageError):
+                        build_stacks(noisy, kind, ids)
+                    stacks = build_stacks(noisy, kind, ids, list(refs))
+                assert [s.target_view for s in stacks] == list(refs)
+                for s in stacks:
+                    ref = refs[s.target_view]
+                    assert np.array_equal(s.lat, ref.lat, equal_nan=True)
+                    assert np.array_equal(s.valid, ref.valid)
+                    assert s.view_ids == ref.view_ids == ids
+
+    def test_pseudo_label_lifts_each_contributor_once(self, tmp_path,
+                                                      monkeypatch):
+        # Count world lifts at every module binding of boundary_to_world, so
+        # the count holds whichever module does the lifting.
+        import sys
+
+        from panolayout import cli, geometry
+
+        n = 5
+        path = tmp_path / "scene.json"
+        save_scene(generate_scene(lshape_room(4.0), n, 64, seed=2), path)
+        original = geometry.boundary_to_world
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2] if len(args) > 2 else kwargs.get("source_view"))
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("panolayout") and \
+                    getattr(mod, "boundary_to_world", None) is original:
+                monkeypatch.setattr(mod, "boundary_to_world", counting)
+        for kind in ("floor", "ceiling"):
+            calls.clear()
+            rc = cli.main(["pseudo-label", "--scene", str(path), "--kind", kind,
+                           "--out", str(tmp_path / f"labeled_{kind}.json")])
+            assert rc == 0
+            assert sorted(calls) == sorted(f"view{i:03d}" for i in range(n))
