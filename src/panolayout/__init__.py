@@ -13,7 +13,7 @@ from .consistency import DensityGrid, data_bounds, density_map, mlc_entropy, \
 from .errors import CoverageError, GeometryError, LayoutError, MetricError, \
     SceneFormatError
 from .evaluation import LayoutEvalReport, depth_metrics, evaluate_scene, \
-    floor_polygon, iou2d, iou3d, layout_depth
+    floor_polygon, footprint_ious, iou2d, iou3d, layout_depth
 from .geometry import BoundaryKind, CameraPose, SphericalBoundary, WorldPolyline, \
     boundary_to_world, ceiling_height, column_longitudes, pixel_to_spherical, \
     world_to_boundary_samples
@@ -35,9 +35,9 @@ __all__ = [
     "SceneFormatError", "SphericalBoundary", "TrainConfig", "TrainTrajectory",
     "ViewFrame", "WorldPolyline", "boundary_to_world", "build_stack",
     "build_stacks", "ceiling_height", "column_longitudes", "data_bounds",
-    "density_map", "depth_metrics", "evaluate_scene", "floor_polygon", "fuse",
-    "generate_scene", "iou2d", "iou3d", "l1_loss", "layout_depth",
-    "load_scene", "lshape_room", "mlc_entropy", "ngon_room",
+    "density_map", "depth_metrics", "evaluate_scene", "floor_polygon",
+    "footprint_ious", "fuse", "generate_scene", "iou2d", "iou3d", "l1_loss",
+    "layout_depth", "load_scene", "lshape_room", "mlc_entropy", "ngon_room",
     "perturb", "pixel_to_spherical", "render_density", "reproject_boundary",
     "resample_to_columns", "run", "save_scene", "scene_from_poses",
     "self_train_step", "square_room", "union_bounds", "wbc_loss",

@@ -2,9 +2,10 @@
 
 IoU is computed by even-odd rasterization of both footprints on a shared
 grid, which stays well-defined for the self-touching polygons noisy
-boundaries can produce. Depth metrics follow the fixed-camera-height
-protocol: both prediction and ground truth are scaled to a 1.6 m camera
-before comparison.
+boundaries can produce. The raster expands every (edge, row) crossing at
+once, and footprint_ious feeds both IoUs from one pass per (pred, gt) pair.
+Depth metrics follow the fixed-camera-height protocol: both prediction and
+ground truth are scaled to a 1.6 m camera before comparison.
 """
 
 from __future__ import annotations
@@ -49,24 +50,22 @@ def _even_odd_mask(poly: np.ndarray, bounds, raster: int) -> np.ndarray:
     ys = ymin + (np.arange(raster) + 0.5) * ch
     x1, y1 = poly[:, 0], poly[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    mask = np.zeros((raster, raster), dtype=np.int64)
-    # Half-open span rule per edge avoids double counting at shared vertices.
-    for e in range(poly.shape[0]):
-        ya, yb = y1[e], y2[e]
-        if ya == yb:
-            continue
-        lo, hi = (ya, yb) if ya < yb else (yb, ya)
-        rows = np.nonzero((ys >= lo) & (ys < hi))[0]
-        if rows.size == 0:
-            continue
-        xc = x1[e] + (ys[rows] - ya) * (x2[e] - x1[e]) / (yb - ya)
-        # Crossing contributes to all cells whose center lies right of it.
-        cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
-        ok = cmin < raster
-        rows, cmin = rows[ok], np.clip(cmin[ok], 0, raster - 1)
-        np.add.at(mask, (rows, cmin), 1)
-    inside = np.cumsum(mask, axis=1) % 2
-    return inside.astype(bool)
+    # Half-open row span per edge (none if horizontal) avoids double counting
+    # at shared vertices; an edge's k-th crossing lies on row start + k.
+    start = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    count = np.searchsorted(ys, np.maximum(y1, y2), side="left") - start
+    edge = np.repeat(np.arange(poly.shape[0]), count)
+    rows = np.arange(edge.size) + np.repeat(start - np.cumsum(count) + count, count)
+    xc = x1[edge] + (ys[rows] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
+    # Crossing contributes to all cells whose center lies right of it.
+    cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
+    ok = cmin < raster
+    rows, cmin = rows[ok], np.clip(cmin[ok], 0, raster - 1)
+    # A cell is inside when an odd number of crossings lie at or left of it.
+    parity = np.bincount(rows * raster + cmin, minlength=raster * raster) & 1
+    inside = np.bitwise_xor.accumulate(
+        parity.astype(np.uint8).reshape(raster, raster), axis=1)
+    return inside.view(bool)
 
 
 def _union_bounds(a: np.ndarray, b: np.ndarray):
@@ -79,11 +78,30 @@ def _union_bounds(a: np.ndarray, b: np.ndarray):
     return xmin, xmax, ymin, ymax
 
 
-def _footprint_masks(pred, gt, raster):
-    pred = np.asarray(pred, dtype=float)
-    gt = np.asarray(gt, dtype=float)
+def footprint_ious(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
+                   raster: int = RASTER_DEFAULT) -> tuple[float, float | None]:
+    """(iou2d, iou3d) from one raster pass; iou3d is None without both heights."""
+    if raster < 64:
+        raise ValueError("raster must be >= 64")
+    with_3d = pred_heights is not None and gt_heights is not None
+    if with_3d:
+        (hf_a, hc_a), (hf_b, hc_b) = pred_heights, gt_heights
+        if min(hf_a, hc_a, hf_b, hc_b) <= 0:
+            raise ValueError("prism heights must be positive")
+    pred, gt = np.asarray(pred, dtype=float), np.asarray(gt, dtype=float)
     bounds = _union_bounds(pred, gt)
-    return _even_odd_mask(pred, bounds, raster), _even_odd_mask(gt, bounds, raster)
+    ma, mb = _even_odd_mask(pred, bounds, raster), _even_odd_mask(gt, bounds, raster)
+    n_pred, n_gt, n_both = (np.count_nonzero(m) for m in (ma, mb, ma & mb))
+    union = n_pred + n_gt - n_both
+    if union == 0:
+        raise MetricError("empty polygon union; IoU undefined")
+    if not with_3d:
+        return n_both / union, None
+    inter = n_both * (min(hf_a, hf_b) + min(hc_a, hc_b))
+    vol_union = n_pred * (hf_a + hc_a) + n_gt * (hf_b + hc_b) - inter
+    if vol_union <= 0:
+        raise MetricError("empty prism union; 3D IoU undefined")
+    return n_both / union, float(inter / vol_union)
 
 
 def iou2d(pred: np.ndarray, gt: np.ndarray, raster: int = RASTER_DEFAULT) -> float:
@@ -92,13 +110,7 @@ def iou2d(pred: np.ndarray, gt: np.ndarray, raster: int = RASTER_DEFAULT) -> flo
     Both polygons are rasterized on their union bounding box at raster^2
     cells with even-odd fill. Raises MetricError when the union is empty.
     """
-    if raster < 64:
-        raise ValueError("raster must be >= 64")
-    ma, mb = _footprint_masks(pred, gt, raster)
-    union = int(np.sum(ma | mb))
-    if union == 0:
-        raise MetricError("empty polygon union; IoU undefined")
-    return float(np.sum(ma & mb) / union)
+    return footprint_ious(pred, None, gt, None, raster)[0]
 
 
 def iou3d(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
@@ -108,22 +120,7 @@ def iou3d(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
     Each prism spans [-h_ceil, +h_floor] vertically (Y-down camera frame)
     over its footprint; the union follows from inclusion-exclusion.
     """
-    if raster < 64:
-        raise ValueError("raster must be >= 64")
-    hf_a, hc_a = pred_heights
-    hf_b, hc_b = gt_heights
-    if min(hf_a, hc_a, hf_b, hc_b) <= 0:
-        raise ValueError("prism heights must be positive")
-    ma, mb = _footprint_masks(pred, gt, raster)
-    inter_cells = int(np.sum(ma & mb))
-    overlap_v = min(hf_a, hf_b) + min(hc_a, hc_b)
-    inter = inter_cells * overlap_v
-    vol_a = int(np.sum(ma)) * (hf_a + hc_a)
-    vol_b = int(np.sum(mb)) * (hf_b + hc_b)
-    union = vol_a + vol_b - inter
-    if union <= 0:
-        raise MetricError("empty prism union; 3D IoU undefined")
-    return float(inter / union)
+    return footprint_ious(pred, pred_heights, gt, gt_heights, raster)[1]
 
 
 def layout_depth(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,
@@ -184,12 +181,8 @@ def evaluate_view(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
     depth_p = layout_depth(pred_floor, pred_ceil, H)
     depth_g = layout_depth(gt_floor, gt_ceil, H)
     rmse, delta1 = depth_metrics(depth_p, depth_g)
-    return {
-        "iou2d": iou2d(poly_p, poly_g, raster),
-        "iou3d": iou3d(poly_p, heights_p, poly_g, heights_g, raster),
-        "rmse": rmse,
-        "delta1": delta1,
-    }
+    iou_2d, iou_3d = footprint_ious(poly_p, heights_p, poly_g, heights_g, raster)
+    return {"iou2d": iou_2d, "iou3d": iou_3d, "rmse": rmse, "delta1": delta1}
 
 
 def evaluate_scene(scene: Scene, raster: int = RASTER_DEFAULT) -> LayoutEvalReport:

@@ -4,7 +4,9 @@ Each step re-fuses every view's boundary stack into a pseudo-label and moves
 the view's boundary toward it by a damping factor; with the uncertainty-
 weighted loss the per-column step shrinks where the views disagree. Early
 stopping picks the iteration with the lowest density-map entropy, evaluated
-on grid bounds frozen at iteration zero so values stay comparable.
+on grid bounds frozen at iteration zero so values stay comparable. The
+trajectory's wbc is measured against each iteration's own labels, whose sigma
+shrinks as views agree, so it can rise while l1 falls: compare iterations by l1.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .consistency import GRID_SIZE_DEFAULT, PADDING_DEFAULT, data_bounds, \
     density_map, mlc_entropy
-from .evaluation import floor_polygon, iou2d, iou3d
+from .evaluation import floor_polygon, footprint_ious
 from .geometry import BoundaryKind, SphericalBoundary, ceiling_height
 from .pseudolabel import SIGMA_FLOOR_DEFAULT, fuse, l1_loss, wbc_loss
 from .reprojection import build_stacks
@@ -70,6 +72,8 @@ class TrainTrajectory:
 
 def select_views(view_ids: list[str], fraction: float) -> list[str]:
     """Deterministic evenly spaced subset of at least one view."""
+    if not (0.0 < fraction <= 1.0):
+        raise ValueError("view_fraction must be in (0, 1]")
     n = len(view_ids)
     m = max(1, int(round(fraction * n)))
     idx = (np.arange(m) * n) // m
@@ -122,20 +126,22 @@ def self_train_step(scene: Scene, cfg: TrainConfig):
 
 
 def _mean_iou(scene: Scene) -> tuple[float, float]:
-    vals2, vals3 = [], []
+    vals = []
     for f in scene.frames:
         gt = scene.ground_truth[f.view_id]
+        gt_f, gt_c = gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING)
         poly_p = floor_polygon(f.boundary_floor, f.pose)
-        poly_g = floor_polygon(gt[BoundaryKind.FLOOR], f.pose)
-        vals2.append(iou2d(poly_p, poly_g, _TRAJECTORY_IOU_RASTER))
-        gt_c = gt.get(BoundaryKind.CEILING)
+        poly_g = floor_polygon(gt_f, f.pose)
+        heights_p = heights_g = None
         if f.boundary_ceiling is not None and gt_c is not None:
             hf = f.pose.floor_height
-            vals3.append(iou3d(
-                poly_p, (hf, ceiling_height(f.boundary_floor, f.boundary_ceiling, hf)),
-                poly_g, (hf, ceiling_height(gt[BoundaryKind.FLOOR], gt_c, hf)),
-                _TRAJECTORY_IOU_RASTER))
-    return (float(np.mean(vals2)), float(np.mean(vals3)) if vals3 else None)
+            heights_p = (hf, ceiling_height(f.boundary_floor, f.boundary_ceiling, hf))
+            heights_g = (hf, ceiling_height(gt_f, gt_c, hf))
+        vals.append(footprint_ious(poly_p, heights_p, poly_g, heights_g,
+                                   _TRAJECTORY_IOU_RASTER))
+    vals3 = [v3 for _, v3 in vals if v3 is not None]
+    iou_2d = float(np.mean([v2 for v2, _ in vals]))
+    return iou_2d, (float(np.mean(vals3)) if vals3 else None)
 
 
 def run(scene: Scene, cfg: TrainConfig):

@@ -203,6 +203,16 @@ class TestErrorHandling:
         err = json.loads(res.stderr)
         assert "nope" in err["error"]["message"]
 
+    @pytest.mark.parametrize("fraction", ["3", "0"])
+    def test_out_of_range_view_fraction_is_2(self, scene_path, tmp_path, fraction):
+        out = tmp_path / "labeled.json"
+        res = run_cli("pseudo-label", "--scene", str(scene_path),
+                      "--view-fraction", fraction, "--out", str(out))
+        assert res.returncode == 2
+        err = json.loads(res.stderr)
+        assert "view_fraction" in err["error"]["message"]
+        assert not out.exists()
+
     def test_non_square_refine_grid_is_2(self, scene_path, tmp_path):
         res = run_cli("refine", "--scene", str(scene_path), "--iters", "1",
                       "--grid", "64", "32",

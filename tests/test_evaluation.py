@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from panolayout import evaluation, selftrain
 from panolayout.errors import MetricError
 from panolayout.evaluation import depth_metrics, evaluate_scene, floor_polygon, \
-    iou2d, iou3d, layout_depth
+    footprint_ious, iou2d, iou3d, layout_depth
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
     column_longitudes, row_to_latitude
 from panolayout.synth import generate_scene, ray_distances, square_room
@@ -169,3 +171,153 @@ class TestEvaluateScene:
         scene.ground_truth = None
         with pytest.raises(ValueError):
             evaluate_scene(scene)
+
+
+def per_edge_even_odd_mask(poly, bounds, raster):
+    """Reference raster: the former one-edge-at-a-time even-odd fill."""
+    xmin, xmax, ymin, ymax = bounds
+    cw = (xmax - xmin) / raster
+    ch = (ymax - ymin) / raster
+    ys = ymin + (np.arange(raster) + 0.5) * ch
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    mask = np.zeros((raster, raster), dtype=np.int64)
+    for e in range(poly.shape[0]):
+        ya, yb = y1[e], y2[e]
+        if ya == yb:
+            continue
+        lo, hi = (ya, yb) if ya < yb else (yb, ya)
+        rows = np.nonzero((ys >= lo) & (ys < hi))[0]
+        if rows.size == 0:
+            continue
+        xc = x1[e] + (ys[rows] - ya) * (x2[e] - x1[e]) / (yb - ya)
+        cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
+        ok = cmin < raster
+        rows, cmin = rows[ok], np.clip(cmin[ok], 0, raster - 1)
+        np.add.at(mask, (rows, cmin), 1)
+    return (np.cumsum(mask, axis=1) % 2).astype(bool)
+
+
+# Vertex modes: free, y snapped onto a cell-center row, y copied from the
+# previous vertex (a horizontal edge).
+_FREE, _ON_ROW, _FLAT = range(3)
+_coord = st.floats(-0.5, 1.5, allow_nan=False)
+
+
+@st.composite
+def raster_cases(draw):
+    """(poly, bounds, raster) with x spilling past both sides of the bounds."""
+    raster = draw(st.integers(64, 300))
+    n = draw(st.integers(3, 64))
+    xs = draw(st.lists(_coord, min_size=n, max_size=n))
+    ys = draw(st.lists(_coord, min_size=n, max_size=n))
+    modes = draw(st.lists(st.sampled_from((_FREE, _ON_ROW, _FLAT)),
+                          min_size=n, max_size=n))
+    rows = draw(st.lists(st.integers(0, raster - 1), min_size=n, max_size=n))
+    bounds = (0.0, 1.0, 0.0, 1.0)
+    centers = 0.0 + (np.arange(raster) + 0.5) * ((1.0 - 0.0) / raster)
+    for i in range(n):
+        if modes[i] == _ON_ROW:
+            ys[i] = float(centers[rows[i]])
+        elif modes[i] == _FLAT and i > 0:
+            ys[i] = ys[i - 1]
+    return np.column_stack([xs, ys]), bounds, raster
+
+
+# Self-intersecting bow tie with a horizontal edge, vertices on cell-center
+# rows and x reaching past both sides of the bounds.
+_BOWTIE = (np.array([[-0.3, (10 + 0.5) / 64], [1.4, (10 + 0.5) / 64],
+                     [-0.2, 0.9], [1.2, 0.9]]), (0.0, 1.0, 0.0, 1.0), 64)
+
+
+class TestEvenOddRaster:
+    @settings(max_examples=300, deadline=None)
+    @given(raster_cases())
+    @example(_BOWTIE)
+    def test_matches_per_edge_reference(self, case):
+        poly, bounds, raster = case
+        assert np.array_equal(evaluation._even_odd_mask(poly, bounds, raster),
+                              per_edge_even_odd_mask(poly, bounds, raster))
+
+    def test_bowtie_case_has_every_feature(self):
+        poly, (xmin, xmax, _, _), raster = _BOWTIE
+        ys = (np.arange(raster) + 0.5) / raster
+        assert np.isin(poly[:, 1], ys).any()
+        assert (poly[:, 1] == np.roll(poly[:, 1], -1)).any()
+        assert poly[:, 0].min() < xmin and poly[:, 0].max() > xmax
+        assert iou2d(poly, poly, raster) == 1.0
+
+    def test_l_room_footprint(self):
+        from panolayout.synth import NoiseSpec, lshape_room, perturb
+        scene = perturb(generate_scene(lshape_room(), 2, 1024, seed=4),
+                        NoiseSpec(boundary_std=0.05, seed=9))
+        poly = floor_polygon(scene.frames[0].boundary_floor, scene.frames[0].pose)
+        bounds = evaluation._union_bounds(poly, poly)
+        for raster in (64, 512, 1024):
+            assert np.array_equal(evaluation._even_odd_mask(poly, bounds, raster),
+                                  per_edge_even_odd_mask(poly, bounds, raster))
+
+
+class TestFootprintIous:
+    @settings(max_examples=50, deadline=None)
+    @given(raster_cases(), raster_cases(),
+           st.tuples(*[st.floats(0.5, 3.0)] * 4))
+    def test_matches_reference_counts_and_wrappers(self, a, b, h):
+        pred, gt, raster = a[0], b[0], a[2]
+        hp, hg = (h[0], h[1]), (h[2], h[3])
+        try:
+            bounds = evaluation._union_bounds(pred, gt)
+        except MetricError:
+            return
+        ma = per_edge_even_odd_mask(pred, bounds, raster)
+        mb = per_edge_even_odd_mask(gt, bounds, raster)
+        union = int(np.sum(ma | mb))
+        if union == 0:
+            with pytest.raises(MetricError):
+                footprint_ious(pred, hp, gt, hg, raster)
+            return
+        inter = int(np.sum(ma & mb))
+        overlap = inter * (min(hp[0], hg[0]) + min(hp[1], hg[1]))
+        vol_union = (int(np.sum(ma)) * sum(hp) + int(np.sum(mb)) * sum(hg)
+                     - overlap)
+        v2, v3 = footprint_ious(pred, hp, gt, hg, raster)
+        assert v2 == float(np.sum(ma & mb) / union)
+        assert v3 == float(overlap / vol_union)
+        assert v2 == iou2d(pred, gt, raster)
+        assert v3 == iou3d(pred, hp, gt, hg, raster)
+        assert footprint_ious(pred, None, gt, None, raster) == (v2, None)
+        assert footprint_ious(pred, hp, gt, None, raster) == (v2, None)
+
+    def test_checks_and_messages(self):
+        with pytest.raises(ValueError, match="raster"):
+            footprint_ious(UNIT_SQUARE, None, UNIT_SQUARE, None, 32)
+        with pytest.raises(ValueError, match="heights"):
+            footprint_ious(UNIT_SQUARE, (1.6, 0.0), UNIT_SQUARE, (1.6, 0.9))
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(MetricError, match="degenerate"):
+            footprint_ious(line, None, line, None)
+
+
+class TestOneRasterPassPerPair:
+    @pytest.fixture
+    def raster_calls(self, monkeypatch):
+        calls = []
+        real = evaluation._even_odd_mask
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_even_odd_mask", counting)
+        return calls
+
+    def test_evaluate_view(self, raster_calls):
+        scene = generate_scene(square_room(4.0), 3, 64, seed=5)
+        evaluate_scene(scene, raster=128)
+        assert len(raster_calls) == 2 * 3
+
+    def test_trajectory_mean_iou(self, raster_calls):
+        scene = generate_scene(square_room(4.0), 3, 64, seed=5)
+        iou_2d, iou_3d = selftrain._mean_iou(scene)
+        assert iou_2d == 1.0 and iou_3d == 1.0
+        assert len(raster_calls) == 2 * 3
