@@ -113,11 +113,24 @@ def _require(cond: bool, msg: str):
         raise SceneFormatError(msg)
 
 
+def _array(values, dtype, ctx: str, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise SceneFormatError(f"{ctx}: {what} must be numeric") from e
+
+
+def _records(values, what: str) -> list[dict]:
+    _require(isinstance(values, list) and all(isinstance(v, dict) for v in values),
+             f"{what} must be a list of JSON objects")
+    return values
+
+
 def _parse_boundary(values, kind: BoundaryKind, W: int, ctx: str,
                     pixel_rows: bool, H: int) -> SphericalBoundary | None:
     if values is None:
         return None
-    arr = np.asarray(values, dtype=float)
+    arr = _array(values, float, ctx, "boundary")
     _require(arr.ndim == 1 and arr.shape[0] == W,
              f"{ctx}: boundary length {arr.shape} != image_width {W}")
     if pixel_rows:
@@ -129,7 +142,7 @@ def _parse_boundary(values, kind: BoundaryKind, W: int, ctx: str,
 
 
 def _parse_rotation(values, ctx: str) -> np.ndarray:
-    R = np.asarray(values, dtype=float)
+    R = _array(values, float, ctx, "rotation")
     _require(R.shape == (9,), f"{ctx}: rotation must be 9 row-major floats")
     R = R.reshape(3, 3)
     defect = float(np.max(np.abs(R.T @ R - np.eye(3))))
@@ -152,10 +165,10 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
              f"unrecognized scene version {doc.get('version')!r}")
     W = doc.get("image_width")
     H = doc.get("image_height")
-    _require(isinstance(W, int) and W >= 8, "image_width must be an int >= 8")
-    _require(isinstance(H, int) and H >= 1, "image_height must be an int >= 1")
-    raw_frames = doc.get("frames")
-    _require(isinstance(raw_frames, list) and raw_frames, "frames must be non-empty")
+    _require(type(W) is int and W >= 8, "image_width must be an int >= 8")
+    _require(type(H) is int and H >= 1, "image_height must be an int >= 1")
+    raw_frames = _records(doc.get("frames"), "frames")
+    _require(len(raw_frames) > 0, "frames must be non-empty")
 
     frames = []
     for rf in raw_frames:
@@ -163,16 +176,17 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
         _require(isinstance(vid, str) and vid != "", "frame id must be a string")
         ctx = f"frame {vid!r}"
         pose_doc = rf.get("pose") or {}
+        _require(isinstance(pose_doc, dict), f"{ctx}: pose must be a JSON object")
         R = _parse_rotation(pose_doc.get("rotation"), ctx)
-        t = np.asarray(pose_doc.get("translation"), dtype=float)
+        t = _array(pose_doc.get("translation"), float, ctx, "translation")
         _require(t.shape == (3,), f"{ctx}: translation must be a 3-vector")
         h = rf.get("floor_height")
         if h is None:
             h = DEFAULT_CAMERA_HEIGHT
             logger.warning("%s: floor_height missing, defaulting to %.1f m",
                            ctx, DEFAULT_CAMERA_HEIGHT)
-        _require(isinstance(h, (int, float)) and h > 0,
-                 f"{ctx}: floor_height must be positive")
+        _require(isinstance(h, (int, float)) and not isinstance(h, bool) and h > 0,
+                 f"{ctx}: floor_height must be a positive number")
         bf = _parse_boundary(rf.get("boundary_floor"), BoundaryKind.FLOOR,
                              W, ctx, pixel_rows, H)
         _require(bf is not None, f"{ctx}: boundary_floor is required")
@@ -184,12 +198,15 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
             raise SceneFormatError(f"{ctx}: {e}") from e
         frames.append(ViewFrame(vid, pose, bf, bc))
 
+    frame_ids = {f.view_id for f in frames}
     ground_truth = None
     if doc.get("ground_truth") is not None:
         ground_truth = {}
-        for rg in doc["ground_truth"]:
+        for rg in _records(doc["ground_truth"], "ground_truth"):
             vid = rg.get("id")
             ctx = f"ground_truth {vid!r}"
+            _require(isinstance(vid, str) and vid in frame_ids,
+                     f"{ctx}: names no frame")
             entry = {}
             bf = _parse_boundary(rg.get("boundary_floor"), BoundaryKind.FLOOR,
                                  W, ctx, pixel_rows, H)
@@ -204,17 +221,27 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     pseudo_labels = None
     if doc.get("pseudo_labels") is not None:
         pseudo_labels = {}
-        for rp in doc["pseudo_labels"]:
+        for rp in _records(doc["pseudo_labels"], "pseudo_labels"):
             vid = rp.get("id")
-            lat_bar = np.asarray(rp.get("lat_bar"), dtype=float)
-            sigma = np.asarray(rp.get("sigma"), dtype=float)
-            support = np.asarray(rp.get("support"), dtype=np.int64)
+            ctx = f"pseudo_labels {vid!r}"
+            _require(isinstance(vid, str) and vid in frame_ids,
+                     f"{ctx}: names no frame")
+            lat_bar = _array(rp.get("lat_bar"), float, ctx, "lat_bar")
+            sigma = _array(rp.get("sigma"), float, ctx, "sigma")
+            support = _array(rp.get("support"), float, ctx, "support")
             _require(lat_bar.shape == (W,) and sigma.shape == (W,)
                      and support.shape == (W,),
-                     f"pseudo_labels {vid!r}: arrays must have length {W}")
-            pseudo_labels[vid] = PseudoLabel(lat_bar, sigma, support)
+                     f"{ctx}: arrays must have length {W}")
+            _require(np.all(np.isfinite(lat_bar)) and np.all(np.isfinite(sigma)),
+                     f"{ctx}: lat_bar and sigma must be finite")
+            _require(np.all((support >= 0) & (support <= len(frames))
+                            & (support == np.floor(support))),
+                     f"{ctx}: support must be whole view counts")
+            pseudo_labels[vid] = PseudoLabel(lat_bar, sigma,
+                                             support.astype(np.int64))
 
     meta = doc.get("meta") or {}
+    _require(isinstance(meta, dict), "meta must be a JSON object")
     try:
         return Scene(frames, W, H, ground_truth, pseudo_labels, meta)
     except SceneFormatError:

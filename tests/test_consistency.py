@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panolayout.consistency import DensityGrid, data_bounds, density_map, \
     mlc_entropy, occupied_cells, render_density, union_bounds
@@ -106,6 +107,19 @@ class TestEntropy:
             shuffled = rng.permutation(bins.reshape(-1)).reshape(U, V)
             assert mlc_entropy(DensityGrid(shuffled, np.zeros(2), 0.1)) \
                 == pytest.approx(h, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.floats(-50.0, 50.0),
+                                       st.floats(-50.0, 50.0)),
+                             min_size=1, max_size=60), min_size=1, max_size=4),
+           st.integers(2, 64), st.integers(2, 64), st.sampled_from((0.0, 0.05, 1.0)))
+    def test_entropy_within_bounds_for_random_polylines(self, polys, U, V,
+                                                        padding):
+        grid = density_map([poly_from_xz(p) for p in polys], U, V, padding)
+        h = mlc_entropy(grid)
+        # 1e-12 absorbs summation rounding at a uniform grid, where H = ln k.
+        assert 0.0 <= h <= math.log(U * V) + 1e-12
+        assert h <= math.log(np.count_nonzero(grid.bins)) + 1e-12
 
     def test_unnormalized_grid_rejected(self):
         grid = DensityGrid(np.full((4, 4), 0.25), np.zeros(2), 1.0)

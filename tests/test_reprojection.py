@@ -1,11 +1,16 @@
+import logging
 import math
+import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from panolayout import reprojection
 from panolayout.errors import CoverageError
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    column_longitudes
+    column_longitudes, world_to_boundary_samples
 from panolayout.reprojection import build_stack, build_stacks, \
     reproject_boundary, resample_to_columns
 from panolayout.scene import Scene, ViewFrame
@@ -20,6 +25,132 @@ from conftest import coaxial_cylinder_scene, random_boundary, random_pose, \
 
 def upright(yaw, t, hf=1.6, hc=None):
     return CameraPose(rotation_about_y(yaw), np.asarray(t, float), hf, hc)
+
+
+def reference_resample_to_columns(samples, W, gap_max=None):
+    """Former lexsort/unique crossing selection, kept as the oracle.
+
+    Returns (lat, valid, n_contested) where the library logs n_contested.
+    """
+    two_pi, eps = 2.0 * math.pi, 1e-9
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    if gap_max is None:
+        gap_max = reprojection.DEFAULT_GAP_FACTOR * two_pi / W
+    source_lon = column_longitudes(n)
+
+    lon = samples[:, 0]
+    lat = samples[:, 1]
+    lon_b = np.roll(lon, -1)
+    lat_b = np.roll(lat, -1)
+    delta = (lon_b - lon + math.pi) % two_pi - math.pi
+    sgn = np.sign(delta)
+    adel = np.abs(delta)
+    keep = adel > 0.0
+
+    step = two_pi / W
+    g_a = (sgn * lon + math.pi) / step - 0.5
+    g_b = (sgn * lon_b + math.pi) / step - 0.5
+    g_b = np.where(g_b < g_a, g_b + W, g_b)
+    c_start = np.ceil(g_a)
+    counts = np.where(keep, np.maximum(np.floor(g_b) - c_start + 1, 0),
+                      0).astype(np.int64)
+
+    total = int(counts.sum())
+    if total == 0:
+        return np.full(W, np.nan), np.zeros(W, dtype=bool), 0
+
+    seg = np.repeat(np.arange(n), counts)
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    offset = np.arange(total) - np.repeat(first, counts)
+    c_mirror = (c_start[seg].astype(np.int64) + offset) % W
+    col = np.where(sgn[seg] < 0, W - 1 - c_mirror, c_mirror)
+
+    centers = 2.0 * math.pi * (col + 0.5) / W - math.pi
+    p = (sgn[seg] * (centers - lon[seg])) % two_pi
+    p = np.where(p > two_pi - eps, 0.0, p)
+    ok = p <= adel[seg] + eps
+    seg, col, p, centers = seg[ok], col[ok], p[ok], centers[ok]
+
+    t = np.minimum(p, adel[seg]) / adel[seg]
+    at_start = centers == lon[seg]
+    at_end = (centers == lon_b[seg]) | (t >= 1.0)
+    interp = lat[seg] + t * (lat_b[seg] - lat[seg])
+    cand_lat = np.where(at_start, lat[seg], np.where(at_end, lat_b[seg], interp))
+    cand_gap_ok = adel[seg] <= gap_max
+    src_dist = np.abs((source_lon[seg] - centers + math.pi) % two_pi - math.pi)
+
+    order = np.lexsort((seg, src_dist, ~cand_gap_ok, col))
+    col_sorted = col[order]
+    uniq_col, uniq_pos = np.unique(col_sorted, return_index=True)
+
+    out_lat = np.full(W, np.nan)
+    out_valid = np.zeros(W, dtype=bool)
+    chosen = order[uniq_pos]
+    out_lat[uniq_col] = cand_lat[chosen]
+    out_valid[uniq_col] = cand_gap_ok[chosen]
+    return out_lat, out_valid, int(col.shape[0] - uniq_col.shape[0])
+
+
+@contextmanager
+def logged_contested():
+    """Collect the contested-crossing counts reprojection logs at DEBUG."""
+    counts = []
+
+    class Handler(logging.Handler):
+        def emit(self, record):
+            m = re.search(r"(\d+) contested column crossings", record.getMessage())
+            counts.append(int(m.group(1)))
+
+    logger = logging.getLogger("panolayout.reprojection")
+    handler, level = Handler(logging.DEBUG), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield counts
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+# Tiny (everything gap-invalid), the default, and huge (everything gap-valid).
+_GAP_MAX = (1e-9, None, 0.5, 1e9)
+
+
+@st.composite
+def closed_curves(draw):
+    """(samples, W, gap_max): closed (lon, lat) curves with zigzags, zero-length
+    segments, seam crossings and duplicated samples."""
+    n = draw(st.integers(2, 200))
+    W = draw(st.integers(8, 512))
+    gap_max = draw(st.sampled_from(_GAP_MAX))
+    shift = draw(st.floats(-math.pi, math.pi))
+    zigzag = draw(st.sampled_from((0.0, 0.01, 0.3, 3.0)))
+    jitter = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                      max_size=n)))
+    lat = np.asarray(draw(st.lists(st.floats(-1.5, 1.5), min_size=n,
+                                   max_size=n)))
+    # Alternating offsets make the curve run back and forth in longitude.
+    lon = column_longitudes(n) + shift + zigzag * jitter * (-1.0) ** np.arange(n)
+    lon = (lon + math.pi) % (2.0 * math.pi) - math.pi
+    ints = st.integers(0, n - 1)
+    for i in draw(st.lists(ints, max_size=n // 4)):   # repeated longitudes
+        lon[i] = lon[i - 1]
+    for i in draw(st.lists(ints, max_size=4)):        # samples on the seam
+        lon[i] = draw(st.sampled_from((-math.pi, math.pi)))
+    samples = np.column_stack([lon, lat])
+    if draw(st.booleans()):
+        # Duplicated samples: the curve runs twice over the same longitudes,
+        # so segments tie in source distance where columns sit halfway.
+        half = samples[:(n + 1) // 2]
+        lat2 = half[:, 1] if draw(st.booleans()) else half[::-1, 1]
+        samples = np.concatenate([half, np.column_stack([half[:, 0], lat2])])[:n]
+    return samples, W, gap_max
+
+
+# Segments 1 and 2 both cross column 4 (longitude 0) at source distance pi/4
+# from opposite sides; the lower segment index must win.
+_TIE = (np.array([[-1.0, -0.4], [1.0, -0.6], [-1.0, -0.9], [1.0, -0.2]]), 9, None)
 
 
 class TestReprojectBoundary:
@@ -116,6 +247,29 @@ class TestResampleToColumns:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             resample_to_columns(np.array([[0.0, -0.5]]), 16, BoundaryKind.FLOOR)
+
+    @settings(max_examples=400, deadline=None)
+    @given(closed_curves())
+    @example(_TIE)
+    def test_matches_reference_selection(self, case):
+        samples, W, gap_max = case
+        ref_lat, ref_valid, ref_contested = \
+            reference_resample_to_columns(samples, W, gap_max)
+        with logged_contested() as logged:
+            lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR,
+                                             gap_max)
+        assert np.array_equal(lat, ref_lat, equal_nan=True)
+        assert np.array_equal(valid, ref_valid)
+        assert logged == ([ref_contested] if ref_contested else [])
+
+    def test_source_distance_tie_goes_to_lowest_segment(self):
+        samples, W, _ = _TIE
+        center = column_longitudes(W)[4]
+        src = column_longitudes(4)
+        dist = np.abs((src - center + math.pi) % (2.0 * math.pi) - math.pi)
+        assert center == 0.0 and dist[1] == dist[2] < dist[0] == dist[3]
+        lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR)
+        assert valid[4] and lat[4] == -0.75         # segment 1, not -0.55
 
 
 class TestBuildStack:
@@ -215,6 +369,45 @@ class TestBuildStack:
 
 
 class TestBuildStacks:
+    def test_matches_reference_stacks(self):
+        scene = perturb(generate_scene(lshape_room(4.0), 16, 1024, seed=0),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=101))
+        for kind in (BoundaryKind.FLOOR, BoundaryKind.CEILING):
+            polys = scene.world_polylines((kind,))
+            with logged_contested() as logged:
+                stacks = build_stacks(scene, kind)
+            expected_logs = []
+            for f, stack in zip(scene.frames, stacks):
+                lat = np.empty((1024, len(polys)))
+                valid = np.empty((1024, len(polys)), dtype=bool)
+                contested = 0
+                for i, poly in enumerate(polys):
+                    samples = world_to_boundary_samples(poly, f.pose)
+                    lat[:, i], valid[:, i], c = \
+                        reference_resample_to_columns(samples, 1024)
+                    contested += c
+                sign = -1.0 if kind == BoundaryKind.FLOOR else 1.0
+                in_range = (sign * lat > 0.0) & (sign * lat < math.pi / 2)
+                valid &= np.where(np.isnan(lat), False, in_range)
+                assert np.array_equal(stack.lat, lat, equal_nan=True)
+                assert np.array_equal(stack.valid, valid)
+                if contested:
+                    expected_logs.append(contested)
+            assert logged == expected_logs and logged
+
+    def test_kernel_runs_on_blocks_of_four_sources(self, monkeypatch):
+        original = reprojection._resample_batch
+        sizes = []
+
+        def counting(samples, W, gap_max):
+            sizes.append(samples.shape[0])
+            return original(samples, W, gap_max)
+
+        monkeypatch.setattr(reprojection, "_resample_batch", counting)
+        scene = generate_scene(square_room(4.0), 9, 128, seed=1)
+        build_stack(scene, scene.view_ids[0], BoundaryKind.FLOOR)
+        assert sizes == [4, 4, 1]
+
     def test_matches_per_target_build_stack(self):
         # Half-view subsets of a noisy L-room leave some targets with
         # uncovered columns; those raise CoverageError on both paths, and

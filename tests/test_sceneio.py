@@ -1,8 +1,10 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from panolayout import cli
 from panolayout.errors import SceneFormatError
 from panolayout.geometry import BoundaryKind
 from panolayout.pseudolabel import PseudoLabel
@@ -130,6 +132,45 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(SceneFormatError):
             load_scene(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["frames"].__setitem__(0, [1, 2]),
+        lambda d: d["frames"][0].__setitem__("pose", [1, 2, 3]),
+        lambda d: d.__setitem__("ground_truth", 5),
+        lambda d: d["ground_truth"].__setitem__(0, ["view000"]),
+        lambda d: d["frames"][0]["pose"].__setitem__("translation", ["a", 0, 0]),
+        lambda d: d["frames"][0]["pose"].__setitem__("rotation", ["a"] * 9),
+        lambda d: d["frames"][0].__setitem__("boundary_floor", ["a"] * 64),
+        lambda d: d["frames"][0].__setitem__("floor_height", True),
+        lambda d: d.__setitem__("image_height", True),
+        lambda d: d["ground_truth"][0].__setitem__("id", "no-such-view"),
+        lambda d: d.__setitem__("pseudo_labels", 5),
+        lambda d: d.__setitem__("pseudo_labels", [{
+            "id": "no-such-view", "lat_bar": [-0.5] * 64, "sigma": [0.1] * 64,
+            "support": [1] * 64}]),
+        lambda d: d.__setitem__("pseudo_labels", [{
+            "id": "view000", "lat_bar": [float("nan")] * 64, "sigma": [0.1] * 64,
+            "support": [1] * 64}]),
+        lambda d: d.__setitem__("pseudo_labels", [{
+            "id": "view000", "lat_bar": [-0.5] * 64, "sigma": [0.1] * 64,
+            "support": [2.5] * 64}]),
+        lambda d: d.__setitem__("meta", [1]),
+    ], ids=["frame-list", "pose-list", "ground-truth-int", "ground-truth-entry-list",
+            "translation-text", "rotation-text", "boundary-text",
+            "floor-height-bool", "image-height-bool", "ground-truth-unknown-id",
+            "pseudo-labels-int", "pseudo-labels-unknown-id",
+            "pseudo-labels-nan", "pseudo-labels-fractional-support", "meta-list"])
+    def test_malformed_field_exits_3_with_json_error(self, scene, tmp_path,
+                                                     capsys, mutate):
+        doc = self.doc(scene)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError):
+            load_scene(path)
+        assert cli.main(["metric", "--scene", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "SceneFormatError"
 
     def test_control_characters_rejected_on_save(self):
         with pytest.raises(ValueError):
