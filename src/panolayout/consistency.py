@@ -9,6 +9,7 @@ comparable between runs histogrammed on identical grid bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,8 @@ def density_map(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,
     """
     if U < 2 or V < 2:
         raise ValueError("grid must be at least 2x2")
+    if not (math.isfinite(padding) and padding >= 0.0):
+        raise ValueError(f"padding must be finite and >= 0, got {padding!r}")
     if not polylines:
         raise ValueError("need at least one polyline")
     pts = np.concatenate([p.points for p in polylines], axis=0)

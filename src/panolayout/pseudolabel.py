@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,9 @@ def fuse(stack: BoundaryStack, estimator: str = "median",
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if not (sigma_floor > 0.0):
-        raise ValueError("sigma_floor must be positive")
+    if not (0.0 < sigma_floor < math.inf):
+        raise ValueError(f"sigma_floor must be positive and finite, "
+                         f"got {sigma_floor!r}")
     lat = np.where(stack.valid, stack.lat, np.nan)
     support = stack.valid.sum(axis=1)
     # Reductions run over value-sorted entries (NaNs last), which makes the

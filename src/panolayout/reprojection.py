@@ -5,9 +5,11 @@ camera, and the resulting (lon, lat) curve is resampled at the target's
 column centers. Stacks collect one resampled row per source view, target
 included.
 
-The resampling kernel is block-batched: a stack sends its sources through it
-a few at a time, and resample_to_columns is its one-curve case. It picks one
-crossing per column with a scatter-min, not a sort.
+A stack sends all its sources through one world-to-sphere transform and one
+call of the resampling kernel, and resample_to_columns is the kernel's
+one-curve case. The kernel expands only the segments within the gap limit
+and picks one crossing per column with a scatter-min, not a sort. A stack
+entry's lat is NaN exactly where its valid flag is False.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ DEFAULT_GAP_FACTOR = 4.0
 _TWO_PI = 2.0 * math.pi
 # Slack for offsets that land a hair outside [0, |delta|] through rounding.
 _EPS = 1e-9
-# Sources per re-projection kernel call when assembling a stack. On a noisy
-# N=16, W=1024 refine, one 16-source call per target was no faster than
-# blocks of 4 and raised peak RSS from 63 to 70 MB.
-_SOURCE_BLOCK = 4
 
 
 @dataclass
@@ -43,7 +41,8 @@ class BoundaryStack:
     """Per-column re-projected latitudes for one target view.
 
     lat has shape (W, N): entry (theta, i) is view i's boundary re-projected
-    to the target at column theta. Invalid entries are NaN with valid False.
+    to the target at column theta. lat is NaN exactly where valid is False:
+    no gap-valid crossing, or a latitude on the wrong side of the horizon.
     """
 
     target_view: str
@@ -82,16 +81,13 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
     with sorting the samples by longitude and interpolating between the two
     bracketing ones.
 
-    Where the curve overlaps itself, one crossing per column wins, in this
-    order: a crossing whose segment is within gap_max first, then the one
+    Segments whose endpoints are more than gap_max apart in longitude
+    (default DEFAULT_GAP_FACTOR * 2*pi/W) bridge a gap and contribute
+    nothing. A column is valid exactly where a remaining segment crosses it.
+    Where the curve overlaps itself, one crossing per column wins: the one
     whose source longitude is angularly nearest the target column, then the
-    lowest segment index. Gap-invalid crossings are only considered for
-    columns that no gap-valid crossing covers. The number of crossings that
-    lose a column is logged as contested.
-
-    A column is invalid when no segment covers it or when its bracketing
-    samples are more than gap_max apart in longitude (default
-    DEFAULT_GAP_FACTOR * 2*pi/W).
+    lowest segment index. The number of crossings that lose a column is
+    logged as contested.
 
     Returns (lat, valid): (W,) float array (NaN where invalid) and (W,) bool.
     """
@@ -111,15 +107,15 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
 def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     """resample_to_columns for m curves of n samples each in one call.
 
-    samples is (m, n, 2). Candidate crossings are keyed by curve * W +
-    column, and each pass picks one per key with two scatter-mins: the least
-    source distance, then among equals the lowest candidate index, which
-    follows segment order. The first pass takes the gap-valid segments. The
-    second expands the gap-invalid ones and drops the candidates at keys the
-    first pass filled before any further work. Only the winners are
-    interpolated.
+    samples is (m, n, 2). Only segments within gap_max are expanded into
+    candidate crossings, keyed by curve * W + column. Two scatter-mins pick
+    one per key: the least source distance, then among equals the lowest
+    candidate index, which follows segment order. Only the winners are
+    interpolated, and a column is valid exactly where it has one.
 
-    Returns (lat (m, W), valid (m, W), n_contested summed over the curves).
+    Returns (lat, valid, n_contested): lat (m, W) is NaN where valid (m, W)
+    is False, and n_contested counts the gap-valid crossings that lose a
+    column, summed over the curves.
     """
     m, n = samples.shape[:2]
     source_lon = np.tile(column_longitudes(n), m)       # per segment
@@ -131,8 +127,7 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     delta = (lon_b - lon + math.pi) % _TWO_PI - math.pi   # (-pi, pi)
     sgn = np.sign(delta)
     adel = np.abs(delta)
-    keep = adel > 0.0
-    gap_ok = adel <= gap_max
+    segs = np.flatnonzero((adel > 0.0) & (adel <= gap_max))
 
     step = _TWO_PI / W
     # Enumerate covered columns per segment on a direction-normalized grid:
@@ -140,57 +135,44 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     # itself with index c -> W-1-c. Both segment endpoints use the same
     # grid-position expression, so consecutive same-direction segments tile
     # the columns without rounding gaps.
-    g_a = (sgn * lon + math.pi) / step - 0.5
-    g_b = (sgn * lon_b + math.pi) / step - 0.5
+    g_a = (sgn[segs] * lon[segs] + math.pi) / step - 0.5
+    g_b = (sgn[segs] * lon_b[segs] + math.pi) / step - 0.5
     g_b = np.where(g_b < g_a, g_b + W, g_b)           # arc crosses the seam
     c_start = np.ceil(g_a)
-    counts = np.where(keep, np.maximum(np.floor(g_b) - c_start + 1, 0),
-                      0).astype(np.int64)
+    cnt = np.maximum(np.floor(g_b) - c_start + 1, 0).astype(np.int64)
+    i = np.repeat(np.arange(segs.size), cnt)
+    offset = np.arange(i.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    c_mirror = (c_start[i].astype(np.int64) + offset) % W
+    seg = segs[i]
+    col = np.where(sgn[seg] < 0, W - 1 - c_mirror, c_mirror)
+    key = row[seg] + col
 
+    centers = 2.0 * math.pi * (col + 0.5) / W - math.pi
+    p = (sgn[seg] * (centers - lon[seg])) % _TWO_PI
+    p = np.where(p > _TWO_PI - _EPS, 0.0, p)              # rounding wrap at 0
+    ok = p <= adel[seg] + _EPS
+    seg, key, p, centers = seg[ok], key[ok], p[ok], centers[ok]
+    src_dist = np.abs((source_lon[seg] - centers + math.pi) % _TWO_PI - math.pi)
+
+    best = np.full(m * W, np.inf)
+    np.minimum.at(best, key, src_dist)
+    tie = np.flatnonzero(src_dist == best[key])
+    pick = np.full(m * W, seg.size)
+    np.minimum.at(pick, key[tie], tie)
+    valid = pick < seg.size
+    won = np.flatnonzero(valid)
+    pick = pick[won]
+    seg, p, centers = seg[pick], p[pick], centers[pick]
+
+    t = np.minimum(p, adel[seg]) / adel[seg]
+    # Columns exactly at a sample's longitude take that sample's latitude
+    # verbatim; interpolation arithmetic would be a ulp off at the far end.
+    at_start = centers == lon[seg]
+    at_end = (centers == lon_b[seg]) | (t >= 1.0)
+    interp = lat[seg] + t * (lat_b[seg] - lat[seg])
     out_lat = np.full(m * W, np.nan)
-    out_valid = np.zeros(m * W, dtype=bool)
-    taken = np.zeros(m * W, dtype=bool)
-    n_contested = 0
-    for in_pass in (keep & gap_ok, keep & ~gap_ok):
-        segs = np.flatnonzero(in_pass)
-        cnt = counts[segs]
-        seg = np.repeat(segs, cnt)
-        offset = np.arange(seg.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        c_mirror = (c_start[seg].astype(np.int64) + offset) % W
-        col = np.where(sgn[seg] < 0, W - 1 - c_mirror, c_mirror)
-        key = row[seg] + col
-        free = ~taken[key]
-        n_contested += seg.size - int(np.count_nonzero(free))
-        seg, col, key = seg[free], col[free], key[free]
-
-        centers = 2.0 * math.pi * (col + 0.5) / W - math.pi
-        p = (sgn[seg] * (centers - lon[seg])) % _TWO_PI
-        p = np.where(p > _TWO_PI - _EPS, 0.0, p)          # rounding wrap at 0
-        ok = p <= adel[seg] + _EPS
-        seg, key, p, centers = seg[ok], key[ok], p[ok], centers[ok]
-        src_dist = np.abs((source_lon[seg] - centers + math.pi) % _TWO_PI - math.pi)
-
-        best = np.full(m * W, np.inf)
-        np.minimum.at(best, key, src_dist)
-        tie = np.flatnonzero(src_dist == best[key])
-        pick = np.full(m * W, seg.size)
-        np.minimum.at(pick, key[tie], tie)
-        won = np.flatnonzero(pick < seg.size)
-        n_contested += seg.size - won.size
-        pick = pick[won]
-        seg, p, centers = seg[pick], p[pick], centers[pick]
-
-        t = np.minimum(p, adel[seg]) / adel[seg]
-        # Columns exactly at a sample's longitude take that sample's latitude
-        # verbatim; interpolation arithmetic would be a ulp off at the far end.
-        at_start = centers == lon[seg]
-        at_end = (centers == lon_b[seg]) | (t >= 1.0)
-        interp = lat[seg] + t * (lat_b[seg] - lat[seg])
-        out_lat[won] = np.where(at_start, lat[seg],
-                                np.where(at_end, lat_b[seg], interp))
-        out_valid[won] = gap_ok[seg]
-        taken[won] = True
-    return out_lat.reshape(m, W), out_valid.reshape(m, W), n_contested
+    out_lat[won] = np.where(at_start, lat[seg], np.where(at_end, lat_b[seg], interp))
+    return out_lat.reshape(m, W), valid.reshape(m, W), key.size - won.size
 
 
 def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
@@ -232,24 +214,21 @@ def _stack_from_polylines(polys: list[WorldPolyline], dst_pose: CameraPose,
                           W: int) -> BoundaryStack:
     """Stack assembly for one target from already lifted source polylines.
 
-    Sources go through the re-projection kernel _SOURCE_BLOCK at a time; one
-    contested-crossing count is logged per target.
+    All sources go through one world-to-sphere transform and one kernel call;
+    one contested-crossing count is logged per target.
     """
-    gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
     n = len(polys)
-    lat = np.empty((W, n))
-    valid = np.empty((W, n), dtype=bool)
-    n_contested = 0
-    for i in range(0, n, _SOURCE_BLOCK):
-        samples = np.stack([world_to_boundary_samples(p, dst_pose)
-                            for p in polys[i:i + _SOURCE_BLOCK]])
-        block_lat, block_valid, contested = _resample_batch(samples, W, gap_max)
-        lat[:, i:i + _SOURCE_BLOCK] = block_lat.T
-        valid[:, i:i + _SOURCE_BLOCK] = block_valid.T
-        n_contested += contested
+    merged = WorldPolyline(np.concatenate([p.points for p in polys]), target, kind)
+    samples = world_to_boundary_samples(merged, dst_pose).reshape(n, W, 2)
+    lat, valid, n_contested = _resample_batch(samples, W,
+                                              DEFAULT_GAP_FACTOR * _TWO_PI / W)
     if n_contested:
         logger.debug("resample: %d contested column crossings", n_contested)
-    valid &= _lat_in_range(lat, kind)       # False on NaN entries
+    # C-ordered (W, n) copies: fusion reduces along the view axis, and its
+    # summation order follows the memory layout.
+    lat, valid = lat.T.copy(), valid.T.copy()
+    valid &= _lat_in_range(lat, kind)
+    lat[~valid] = np.nan
     empty = np.flatnonzero(~valid.any(axis=1))
     if empty.size:
         head = ", ".join(map(str, empty[:20]))

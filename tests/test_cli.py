@@ -57,6 +57,24 @@ class TestReproject:
         assert len(rows) == 1 + 64 * 5
 
 
+    @pytest.mark.parametrize("kind", ["floor", "ceiling"])
+    def test_lat_blank_exactly_where_invalid(self, tmp_path, kind):
+        scene = tmp_path / "noisy.json"
+        res = run_cli("synth", "--room", "lshape", "--n-views", "6", "--width",
+                      "128", "--seed", "2", "--noise-boundary-std", "0.05",
+                      "--out", str(scene))
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / "stack.csv"
+        res = run_cli("reproject", "--scene", str(scene), "--target", "view000",
+                      "--kind", kind, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        invalid = [r["valid"] == "0" for r in rows]
+        assert any(invalid) and not all(invalid)
+        assert [r["lat"] == "" for r in rows] == invalid
+
+
 class TestPseudoLabel:
     def test_single_view_label_equals_boundary(self, tmp_path):
         scene_path = tmp_path / "one.json"
@@ -222,6 +240,33 @@ class TestErrorHandling:
         err = json.loads(res.stderr)
         assert "grid" in err["error"]["message"]
         assert not (tmp_path / "traj.csv").exists()
+
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("metric", "--padding", "-1"),
+        ("metric", "--padding", "inf"),
+        ("render-density", "--padding", "-0.4"),
+        ("render-density", "--padding", "inf"),
+        ("refine", "--padding", "-1"),
+        ("refine", "--padding", "inf"),
+        ("refine", "--sigma-floor", "inf"),
+        ("pseudo-label", "--sigma-floor", "inf"),
+    ])
+    def test_bad_padding_or_sigma_floor_is_2(self, scene_path, tmp_path,
+                                              command, flag, value):
+        out = tmp_path / "out"
+        outputs = {"metric": ["--out", str(out)],
+                   "render-density": ["--out", str(out)],
+                   "refine": ["--iters", "1", "--grid", "32", "32",
+                              "--out-traj", str(out),
+                              "--out-scene", str(tmp_path / "best.json")],
+                   "pseudo-label": ["--out", str(out)]}
+        res = run_cli(command, "--scene", str(scene_path), flag, value,
+                      *outputs[command])
+        assert res.returncode == 2, res.stderr
+        err = json.loads(res.stderr)
+        assert flag[2:].replace("-", "_") in err["error"]["message"]
+        assert not out.exists()
 
 
 class TestDeterminism:

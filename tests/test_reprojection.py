@@ -16,8 +16,8 @@ from panolayout.reprojection import build_stack, build_stacks, \
 from panolayout.scene import Scene, ViewFrame
 from panolayout.sceneio import save_scene
 from panolayout.selftrain import select_views
-from panolayout.synth import NoiseSpec, generate_scene, lshape_room, perturb, \
-    ray_distances, square_room
+from panolayout.synth import NoiseSpec, generate_scene, lshape_room, ngon_room, \
+    perturb, ray_distances, square_room
 
 from conftest import coaxial_cylinder_scene, random_boundary, random_pose, \
     rotation_about_y
@@ -92,6 +92,36 @@ def reference_resample_to_columns(samples, W, gap_max=None):
     return out_lat, out_valid, int(col.shape[0] - uniq_col.shape[0])
 
 
+def reference_gap_valid_crossings(samples, W, gap_max=None):
+    """How many of the oracle's candidate crossings lie on gap-valid segments.
+
+    Enumerates columns with the oracle's expressions. The library logs this
+    count minus the oracle's valid columns as contested.
+    """
+    two_pi, eps = 2.0 * math.pi, 1e-9
+    if gap_max is None:
+        gap_max = reprojection.DEFAULT_GAP_FACTOR * two_pi / W
+    lon = np.asarray(samples, dtype=float)[:, 0]
+    lon_b = np.roll(lon, -1)
+    delta = (lon_b - lon + math.pi) % two_pi - math.pi
+    seg = np.flatnonzero((np.abs(delta) > 0.0) & (np.abs(delta) <= gap_max))
+    sgn, adel = np.sign(delta[seg]), np.abs(delta[seg])
+    step = two_pi / W
+    g_a = (sgn * lon[seg] + math.pi) / step - 0.5
+    g_b = (sgn * lon_b[seg] + math.pi) / step - 0.5
+    g_b = np.where(g_b < g_a, g_b + W, g_b)
+    c_start = np.ceil(g_a)
+    counts = np.maximum(np.floor(g_b) - c_start + 1, 0).astype(np.int64)
+    k = np.repeat(np.arange(seg.size), counts)
+    offset = np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    c_mirror = (c_start[k].astype(np.int64) + offset) % W
+    col = np.where(sgn[k] < 0, W - 1 - c_mirror, c_mirror)
+    centers = 2.0 * math.pi * (col + 0.5) / W - math.pi
+    p = (sgn[k] * (centers - lon[seg[k]])) % two_pi
+    p = np.where(p > two_pi - eps, 0.0, p)
+    return int(np.count_nonzero(p <= adel[k] + eps))
+
+
 @contextmanager
 def logged_contested():
     """Collect the contested-crossing counts reprojection logs at DEBUG."""
@@ -146,6 +176,21 @@ def closed_curves(draw):
         lat2 = half[:, 1] if draw(st.booleans()) else half[::-1, 1]
         samples = np.concatenate([half, np.column_stack([half[:, 0], lat2])])[:n]
     return samples, W, gap_max
+
+
+@st.composite
+def noisy_scenes_and_orders(draw):
+    """(scene, kind, order): a noisy room and a permutation of its views."""
+    room = draw(st.sampled_from((square_room(4.0), lshape_room(4.0),
+                                 ngon_room(7, 2.0))))
+    n = draw(st.integers(2, 9))
+    W = draw(st.sampled_from((24, 75, 128, 256)))
+    seed = draw(st.integers(0, 2 ** 16))
+    noise = NoiseSpec(boundary_std=draw(st.sampled_from((0.01, 0.05))),
+                      outlier_rate=0.02, outlier_std=0.1, seed=seed)
+    scene = perturb(generate_scene(room, n, W, seed=seed), noise)
+    kind = draw(st.sampled_from((BoundaryKind.FLOOR, BoundaryKind.CEILING)))
+    return scene, kind, draw(st.permutations(range(n)))
 
 
 # Segments 1 and 2 both cross column 4 (longitude 0) at source distance pi/4
@@ -252,15 +297,19 @@ class TestResampleToColumns:
     @given(closed_curves())
     @example(_TIE)
     def test_matches_reference_selection(self, case):
+        # The oracle also resolves gap-invalid crossings; the library leaves
+        # those columns NaN and counts only gap-valid contests.
         samples, W, gap_max = case
-        ref_lat, ref_valid, ref_contested = \
-            reference_resample_to_columns(samples, W, gap_max)
+        ref_lat, ref_valid, _ = reference_resample_to_columns(samples, W, gap_max)
+        contested = reference_gap_valid_crossings(samples, W, gap_max) \
+            - int(ref_valid.sum())
         with logged_contested() as logged:
             lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR,
                                              gap_max)
-        assert np.array_equal(lat, ref_lat, equal_nan=True)
         assert np.array_equal(valid, ref_valid)
-        assert logged == ([ref_contested] if ref_contested else [])
+        assert np.array_equal(lat[valid], ref_lat[valid])
+        assert np.isnan(lat[~valid]).all()
+        assert logged == ([contested] if contested else [])
 
     def test_source_distance_tie_goes_to_lowest_segment(self):
         samples, W, _ = _TIE
@@ -353,6 +402,21 @@ class TestBuildStack:
             both = s1.valid & s2.valid
             assert np.max(np.abs(s1.lat[both] - s2.lat[both])) < 1e-9
 
+    def test_horizon_masked_entries_are_nan(self):
+        # View b sits 2 m below view a's floor plane, so a's floor boundary
+        # lies above b's horizon: every column crosses gap-valid, and every
+        # entry is masked by the horizon.
+        W = 64
+        lat = np.full(W, -0.6)
+        scene = Scene([ViewFrame("a", upright(0.0, (0.0, 0.0, 0.0)),
+                                 SphericalBoundary(lat, BoundaryKind.FLOOR)),
+                       ViewFrame("b", upright(0.3, (0.5, 3.6, 0.2)),
+                                 SphericalBoundary(lat, BoundaryKind.FLOOR))],
+                      W, W // 2)
+        stack = build_stack(scene, "b", BoundaryKind.FLOOR)
+        assert stack.valid[:, 1].all() and not stack.valid[:, 0].any()
+        assert np.isnan(stack.lat[:, 0]).all()
+
     def test_insufficient_coverage_names_columns(self):
         # A lone distant source view only covers a narrow longitude range of
         # the target panorama.
@@ -383,19 +447,21 @@ class TestBuildStacks:
                 contested = 0
                 for i, poly in enumerate(polys):
                     samples = world_to_boundary_samples(poly, f.pose)
-                    lat[:, i], valid[:, i], c = \
+                    lat[:, i], valid[:, i], _ = \
                         reference_resample_to_columns(samples, 1024)
-                    contested += c
+                    contested += reference_gap_valid_crossings(samples, 1024) \
+                        - int(valid[:, i].sum())
                 sign = -1.0 if kind == BoundaryKind.FLOOR else 1.0
                 in_range = (sign * lat > 0.0) & (sign * lat < math.pi / 2)
                 valid &= np.where(np.isnan(lat), False, in_range)
-                assert np.array_equal(stack.lat, lat, equal_nan=True)
                 assert np.array_equal(stack.valid, valid)
+                assert np.array_equal(stack.lat[valid], lat[valid])
+                assert np.isnan(stack.lat[~valid]).all()
                 if contested:
                     expected_logs.append(contested)
             assert logged == expected_logs and logged
 
-    def test_kernel_runs_on_blocks_of_four_sources(self, monkeypatch):
+    def test_one_kernel_call_per_target(self, monkeypatch):
         original = reprojection._resample_batch
         sizes = []
 
@@ -405,8 +471,21 @@ class TestBuildStacks:
 
         monkeypatch.setattr(reprojection, "_resample_batch", counting)
         scene = generate_scene(square_room(4.0), 9, 128, seed=1)
-        build_stack(scene, scene.view_ids[0], BoundaryKind.FLOOR)
-        assert sizes == [4, 4, 1]
+        build_stacks(scene, BoundaryKind.FLOOR)
+        assert sizes == [9] * 9
+
+    @settings(max_examples=40, deadline=None)
+    @given(noisy_scenes_and_orders())
+    def test_source_order_permutes_columns(self, case):
+        # Sources share one world-to-sphere transform and one kernel call, so
+        # this checks that a source's column does not depend on its neighbours.
+        scene, kind, order = case
+        ids = [scene.view_ids[j] for j in order]
+        full = build_stacks(scene, kind)
+        for s, p in zip(full, build_stacks(scene, kind, ids)):
+            assert p.target_view == s.target_view and p.view_ids == ids
+            assert np.array_equal(p.lat, s.lat[:, order], equal_nan=True)
+            assert np.array_equal(p.valid, s.valid[:, order])
 
     def test_matches_per_target_build_stack(self):
         # Half-view subsets of a noisy L-room leave some targets with
