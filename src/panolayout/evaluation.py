@@ -1,15 +1,20 @@
 """Standard layout metrics: 2D/3D IoU, depth RMSE and delta-1.
 
-IoU is computed by even-odd rasterization of both footprints on a shared
-grid, which stays well-defined for the self-touching polygons noisy
-boundaries can produce. The raster expands every (edge, row) crossing at
-once, and footprint_ious feeds both IoUs from one pass per (pred, gt) pair.
+IoU counts the cells of an even-odd fill of both footprints on a shared
+raster^2 grid, which stays well-defined for the self-touching polygons noisy
+boundaries can produce. No mask is built: every (edge, row) crossing becomes
+a sorted cell key, and footprint_ious sums the lengths of the runs between
+consecutive keys where each fill, and both, are odd. Its work grows with the
+crossing count, not with raster^2.
 Depth metrics follow the fixed-camera-height protocol: both prediction and
-ground truth are scaled to a 1.6 m camera before comparison.
+ground truth are scaled to a 1.6 m camera before comparison. layout_depth
+fills each column from its floor and ceiling row limits, and depth_metrics
+works in one buffer of the map's size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,7 @@ from .scene import Scene
 
 RASTER_DEFAULT = 1024
 DELTA_THRESHOLD = 1.25
+_BAD_DEPTH = "depths must be finite and positive"
 
 
 @dataclass
@@ -42,8 +48,11 @@ def floor_polygon(b: SphericalBoundary, pose: CameraPose) -> np.ndarray:
     return pts[:, [0, 2]]
 
 
-def _even_odd_mask(poly: np.ndarray, bounds, raster: int) -> np.ndarray:
-    """Even-odd fill of a polygon sampled at raster x raster cell centers."""
+def _crossing_cells(poly: np.ndarray, bounds, raster: int):
+    """(row, cmin) of every even-odd crossing sampled at cell centers.
+
+    A crossing flips the fill of cells cmin..raster-1 in its row.
+    """
     xmin, xmax, ymin, ymax = bounds
     cw = (xmax - xmin) / raster
     ch = (ymax - ymin) / raster
@@ -60,12 +69,28 @@ def _even_odd_mask(poly: np.ndarray, bounds, raster: int) -> np.ndarray:
     # Crossing contributes to all cells whose center lies right of it.
     cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
     ok = cmin < raster
-    rows, cmin = rows[ok], np.clip(cmin[ok], 0, raster - 1)
-    # A cell is inside when an odd number of crossings lie at or left of it.
-    parity = np.bincount(rows * raster + cmin, minlength=raster * raster) & 1
-    inside = np.bitwise_xor.accumulate(
-        parity.astype(np.uint8).reshape(raster, raster), axis=1)
-    return inside.view(bool)
+    return rows[ok], np.clip(cmin[ok], 0, raster - 1)
+
+
+def _footprint_counts(pred: np.ndarray, gt: np.ndarray, bounds,
+                      raster: int) -> tuple[int, int, int]:
+    """(n_pred, n_gt, n_both): cells inside each even-odd fill and both."""
+    keys = []
+    for tag, poly in enumerate((pred, gt)):
+        rows, cmin = _crossing_cells(poly, bounds, raster)
+        # One more key at the right edge of each odd row closes every row even.
+        odd = np.flatnonzero(np.bincount(rows, minlength=raster) & 1)
+        keys += [(rows * raster + cmin) << 1 | tag,
+                 (odd * raster + raster) << 1 | tag]
+    # The low bit tags the polygon, so one sort merges both key lists.
+    tagged = np.sort(np.concatenate(keys))
+    is_gt = tagged & 1
+    in_gt = np.cumsum(is_gt)[:-1] & 1
+    in_pred = np.cumsum(is_gt ^ 1)[:-1] & 1
+    # Fill parity holds from one key to the next; rows close even, so the
+    # run from a row's last key to the next row's first is outside both.
+    run = np.diff(tagged >> 1)
+    return int(run @ in_pred), int(run @ in_gt), int(run @ (in_pred & in_gt))
 
 
 def _union_bounds(a: np.ndarray, b: np.ndarray):
@@ -80,18 +105,17 @@ def _union_bounds(a: np.ndarray, b: np.ndarray):
 
 def footprint_ious(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
                    raster: int = RASTER_DEFAULT) -> tuple[float, float | None]:
-    """(iou2d, iou3d) from one raster pass; iou3d is None without both heights."""
+    """(iou2d, iou3d) from one crossing pass; iou3d is None without both heights."""
     if raster < 64:
         raise ValueError("raster must be >= 64")
     with_3d = pred_heights is not None and gt_heights is not None
     if with_3d:
         (hf_a, hc_a), (hf_b, hc_b) = pred_heights, gt_heights
-        if min(hf_a, hc_a, hf_b, hc_b) <= 0:
-            raise ValueError("prism heights must be positive")
+        if not all(0 < h < math.inf for h in (hf_a, hc_a, hf_b, hc_b)):
+            raise ValueError("prism heights must be positive and finite")
     pred, gt = np.asarray(pred, dtype=float), np.asarray(gt, dtype=float)
     bounds = _union_bounds(pred, gt)
-    ma, mb = _even_odd_mask(pred, bounds, raster), _even_odd_mask(gt, bounds, raster)
-    n_pred, n_gt, n_both = (np.count_nonzero(m) for m in (ma, mb, ma & mb))
+    n_pred, n_gt, n_both = _footprint_counts(pred, gt, bounds, raster)
     union = n_pred + n_gt - n_both
     if union == 0:
         raise MetricError("empty polygon union; IoU undefined")
@@ -142,32 +166,56 @@ def layout_depth(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,
     if H is None:
         H = W // 2
     h_c = ceiling_height(b_floor, b_ceil, camera_height)
-    lat_rows = row_to_latitude(np.arange(H), H)[:, None]            # (H, 1)
-    lat_f = b_floor.lat[None, :]                                    # (1, W)
-    lat_c = b_ceil.lat[None, :]
-    d_wall = camera_height / np.tan(-lat_f)                         # (1, W)
-    with np.errstate(divide="ignore"):
-        depth = np.where(
-            lat_rows <= lat_f, camera_height / np.tan(-lat_rows),
-            np.where(lat_rows >= lat_c, h_c / np.tan(lat_rows),
-                     np.broadcast_to(d_wall, (H, W))))
-    bad = ~np.isfinite(depth)
-    if np.any(bad):
-        raise GeometryError(f"{int(bad.sum())} nonfinite depth pixels")
+    lat_rows = row_to_latitude(np.arange(H), H)
+    # Row latitudes fall with the row index, so a column's ceiling rows
+    # (lat_row >= lat_c) are [0, kc) and its floor rows (lat_row <= lat_f)
+    # are [kf, H); the rows between are wall.
+    kc = np.searchsorted(-lat_rows, -b_ceil.lat, side="right")
+    kf = np.searchsorted(-lat_rows, -b_floor.lat, side="left")
+    top, bottom = int(kc.max()), int(kf.min())
+    d_wall = camera_height / np.tan(-b_floor.lat)
+    ceil_rows = h_c / np.tan(lat_rows[:top])
+    floor_rows = camera_height / np.tan(-lat_rows[bottom:])
+    depth = np.broadcast_to(d_wall, (H, W)).copy()
+    row = np.arange(H)[:, None]
+    np.copyto(depth[:top], ceil_rows[:, None], where=row[:top] < kc)
+    np.copyto(depth[bottom:], floor_rows[:, None], where=row[bottom:] >= kf)
+    if not all(np.isfinite(v).all() for v in (d_wall, ceil_rows, floor_rows)):
+        # A column without wall rows does not use its d_wall.
+        n_bad = np.count_nonzero(~np.isfinite(depth))
+        if n_bad:
+            raise GeometryError(f"{n_bad} nonfinite depth pixels")
     return depth
 
 
 def depth_metrics(pred: np.ndarray, gt: np.ndarray,
                   threshold: float = DELTA_THRESHOLD):
-    """(rmse, delta1) between two depth maps on identical pixel grids."""
+    """(rmse, delta1) between two depth maps on identical pixel grids.
+
+    Raises ValueError on empty maps or on a depth that is not finite and
+    positive.
+    """
     pred = np.asarray(pred, dtype=float)
     gt = np.asarray(gt, dtype=float)
     if pred.shape != gt.shape:
         raise ValueError(f"depth shapes differ: {pred.shape} vs {gt.shape}")
-    rmse = float(np.sqrt(np.mean((pred - gt) ** 2)))
-    ratio = np.maximum(pred / gt, gt / pred)
-    delta1 = float(np.mean(ratio < threshold))
-    return rmse, delta1
+    if pred.size == 0:
+        raise ValueError("depth maps are empty")
+    # min() is NaN when a depth is; an infinite depth makes the mean non-finite.
+    if not (pred.min() > 0 and gt.min() > 0):
+        raise ValueError(_BAD_DEPTH)
+    with np.errstate(invalid="ignore"):  # inf - inf, rejected below
+        buf = np.subtract(pred, gt, out=np.empty(pred.shape))
+    np.square(buf, out=buf)
+    mse = np.mean(buf)
+    if not np.isfinite(mse) and (np.isinf(pred).any() or np.isinf(gt).any()):
+        raise ValueError(_BAD_DEPTH)
+    # max(p/g, g/p) < threshold holds where both ratios do.
+    np.divide(pred, gt, out=buf)
+    close = buf < threshold
+    np.divide(gt, pred, out=buf)
+    close &= buf < threshold
+    return float(np.sqrt(mse)), float(np.count_nonzero(close) / close.size)
 
 
 def evaluate_view(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
@@ -195,9 +243,7 @@ def evaluate_scene(scene: Scene, raster: int = RASTER_DEFAULT) -> LayoutEvalRepo
         raise ValueError("scene has no ground_truth block")
     per_view = []
     for f in scene.frames:
-        gt = scene.ground_truth.get(f.view_id)
-        if gt is None:
-            raise ValueError(f"no ground truth for view {f.view_id!r}")
+        gt = scene.view_ground_truth(f.view_id)
         gt_ceil = gt.get(BoundaryKind.CEILING)
         if f.boundary_ceiling is None or gt_ceil is None:
             raise ValueError(

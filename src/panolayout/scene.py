@@ -60,6 +60,13 @@ class Scene:
                 return f
         raise KeyError(f"view {view_id!r} not in scene")
 
+    def view_ground_truth(self, view_id: str) -> dict[BoundaryKind, SphericalBoundary]:
+        """One view's ground-truth boundaries; ValueError when it has none."""
+        gt = (self.ground_truth or {}).get(view_id)
+        if gt is None:
+            raise ValueError(f"no ground truth for view {view_id!r}")
+        return gt
+
     def kinds(self) -> list[BoundaryKind]:
         """Boundary kinds present in every frame."""
         ks = [BoundaryKind.FLOOR]

@@ -11,7 +11,6 @@ import csv
 import json
 import logging
 import math
-import re
 
 import numpy as np
 
@@ -31,8 +30,6 @@ SCENE_VERSION = "1"
 _LOAD_ROTATION_TOL = 1e-6
 _STRICT_ROTATION_TOL = 1e-9
 
-_FLOAT_TOKEN = re.compile(r'"\\u0000(\d+)\\u0000"')
-
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal, exact on round trip."""
@@ -43,28 +40,59 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_document(doc) -> str:
-    """json.dumps with floats rendered via format_float."""
-    floats: list[float] = []
+def _float_array(values) -> str:
+    """format_float of each float, comma-joined, from one format call."""
+    text = ("%.17g," * len(values) % tuple(values))[:-1]
+    if "n" in text:  # "inf" or "nan"
+        for x in values:
+            format_float(x)
+    if 0.0 in values:
+        text = ",".join(t + ".0" if t in ("0", "-0") else t for t in text.split(","))
+    return text
 
-    def encode(obj):
-        if isinstance(obj, float):
-            floats.append(obj)
-            return f"\x00{len(floats) - 1}\x00"
-        if isinstance(obj, dict):
-            return {k: encode(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [encode(v) for v in obj]
+
+def _dump(obj, out: list[str]) -> None:
+    if isinstance(obj, float):
+        out.append(format_float(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(("," if i else "") + json.dumps(k) + ":")
+            _dump(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        if types == {float}:
+            out.append("[" + _float_array(obj) + "]")
+        elif types == {int}:
+            out.append("[" + ",".join(map(str, obj)) + "]")
+        else:
+            out.append("[")
+            for i, v in enumerate(obj):
+                if i:
+                    out.append(",")
+                _dump(v, out)
+            out.append("]")
+    else:
         if isinstance(obj, str) and any(ord(c) < 0x20 for c in obj):
             raise ValueError("control characters are not allowed in strings")
-        return obj
+        out.append(json.dumps(obj))
 
-    text = json.dumps(encode(doc), ensure_ascii=True, separators=(",", ":"))
-    return _FLOAT_TOKEN.sub(lambda m: format_float(floats[int(m.group(1))]), text) + "\n"
+
+def dumps_document(doc) -> str:
+    """Compact ASCII JSON with floats rendered via format_float.
+
+    Dict keys must be strings; a list of floats is formatted in one call.
+    """
+    out: list[str] = []
+    _dump(doc, out)
+    return "".join(out) + "\n"
 
 
 def _boundary_list(b: SphericalBoundary | None):
-    return None if b is None else [float(v) for v in b.lat]
+    return None if b is None else b.lat.tolist()
 
 
 def scene_to_document(scene: Scene) -> dict:
@@ -78,8 +106,8 @@ def scene_to_document(scene: Scene) -> dict:
         doc["frames"].append({
             "id": f.view_id,
             "pose": {
-                "rotation": [float(v) for v in f.pose.rotation.reshape(-1)],
-                "translation": [float(v) for v in f.pose.translation],
+                "rotation": f.pose.rotation.reshape(-1).tolist(),
+                "translation": f.pose.translation.tolist(),
             },
             "floor_height": float(f.pose.floor_height),
             "boundary_floor": _boundary_list(f.boundary_floor),
@@ -94,8 +122,8 @@ def scene_to_document(scene: Scene) -> dict:
     if scene.pseudo_labels is not None:
         doc["pseudo_labels"] = [{
             "id": vid,
-            "lat_bar": [float(v) for v in pl.lat_bar],
-            "sigma": [float(v) for v in pl.sigma],
+            "lat_bar": pl.lat_bar.tolist(),
+            "sigma": pl.sigma.tolist(),
             "support": [int(v) for v in pl.support],
         } for vid, pl in scene.pseudo_labels.items()]
     if scene.meta:
@@ -104,8 +132,9 @@ def scene_to_document(scene: Scene) -> dict:
 
 
 def save_scene(scene: Scene, path) -> None:
+    text = dumps_document(scene_to_document(scene))  # no file on a rejected scene
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_document(scene_to_document(scene)))
+        f.write(text)
 
 
 def _require(cond: bool, msg: str):
@@ -185,8 +214,9 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
             h = DEFAULT_CAMERA_HEIGHT
             logger.warning("%s: floor_height missing, defaulting to %.1f m",
                            ctx, DEFAULT_CAMERA_HEIGHT)
-        _require(isinstance(h, (int, float)) and not isinstance(h, bool) and h > 0,
-                 f"{ctx}: floor_height must be a positive number")
+        _require(isinstance(h, (int, float)) and not isinstance(h, bool)
+                 and 0 < h < math.inf,
+                 f"{ctx}: floor_height must be a positive finite number")
         bf = _parse_boundary(rf.get("boundary_floor"), BoundaryKind.FLOOR,
                              W, ctx, pixel_rows, H)
         _require(bf is not None, f"{ctx}: boundary_floor is required")
@@ -207,11 +237,10 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
             ctx = f"ground_truth {vid!r}"
             _require(isinstance(vid, str) and vid in frame_ids,
                      f"{ctx}: names no frame")
-            entry = {}
             bf = _parse_boundary(rg.get("boundary_floor"), BoundaryKind.FLOOR,
                                  W, ctx, pixel_rows, H)
-            if bf is not None:
-                entry[BoundaryKind.FLOOR] = bf
+            _require(bf is not None, f"{ctx}: boundary_floor is required")
+            entry = {BoundaryKind.FLOOR: bf}
             bc = _parse_boundary(rg.get("boundary_ceiling"), BoundaryKind.CEILING,
                                  W, ctx, pixel_rows, H)
             if bc is not None:

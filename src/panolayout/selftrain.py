@@ -128,7 +128,7 @@ def self_train_step(scene: Scene, cfg: TrainConfig):
 def _mean_iou(scene: Scene) -> tuple[float, float]:
     vals = []
     for f in scene.frames:
-        gt = scene.ground_truth[f.view_id]
+        gt = scene.view_ground_truth(f.view_id)
         gt_f, gt_c = gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING)
         poly_p = floor_polygon(f.boundary_floor, f.pose)
         poly_g = floor_polygon(gt_f, f.pose)

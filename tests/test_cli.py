@@ -269,6 +269,56 @@ class TestErrorHandling:
         assert not out.exists()
 
 
+def _drop_gt_floor(doc):
+    del doc["ground_truth"][0]["boundary_floor"]
+
+
+def _null_gt_floor(doc):
+    doc["ground_truth"][0]["boundary_floor"] = None
+
+
+def _inf_floor_height(doc):
+    doc["frames"][1]["floor_height"] = float("inf")
+
+
+def _drop_gt_frame(doc):
+    del doc["ground_truth"][2]
+
+
+_PARTIAL_INPUTS = [
+    (_drop_gt_floor, {"metric": 3, "evaluate": 3, "refine": 3}, "boundary_floor"),
+    (_null_gt_floor, {"metric": 3, "evaluate": 3, "refine": 3}, "boundary_floor"),
+    (_inf_floor_height, {"metric": 3, "evaluate": 3, "refine": 3,
+                         "pseudo-label": 3}, "floor_height"),
+    (_drop_gt_frame, {"metric": 0, "evaluate": 2, "refine": 2},
+     "no ground truth for view 'view002'"),
+]
+
+
+class TestPartialInputs:
+    @pytest.mark.parametrize("mutate,codes,message", _PARTIAL_INPUTS,
+                             ids=["gt-floor-absent", "gt-floor-null",
+                                  "floor-height-inf", "gt-frame-missing"])
+    def test_exit_code_and_json_error(self, scene_path, tmp_path, capsys,
+                                      mutate, codes, message):
+        from panolayout import cli
+        doc = json.loads(scene_path.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        argv = {"metric": ["--grid", "32", "32"],
+                "evaluate": ["--raster", "64", "--out", out],
+                "refine": ["--iters", "1", "--grid", "32", "32", "--out-traj", out,
+                           "--out-scene", str(tmp_path / "best.json")],
+                "pseudo-label": ["--out", out]}
+        for command, code in codes.items():
+            assert cli.main([command, "--scene", str(bad), *argv[command]]) == code
+            err = capsys.readouterr().err.strip().splitlines()
+            if code:
+                assert message in json.loads(err[-1])["error"]["message"]
+
+
 class TestDeterminism:
     def test_thread_cap_does_not_change_bytes(self, tmp_path):
         outs = []

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from panolayout import evaluation, selftrain
-from panolayout.errors import MetricError
+from panolayout.errors import GeometryError, MetricError
 from panolayout.evaluation import depth_metrics, evaluate_scene, floor_polygon, \
     footprint_ious, iou2d, iou3d, layout_depth
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
@@ -148,6 +150,124 @@ class TestLayoutDepth:
             depth_metrics(np.ones((4, 8)), np.ones((4, 9)))
 
 
+def reference_layout_depth(b_floor, b_ceil, H=None, camera_height=1.6):
+    """Reference depth map: the former full-map nested np.where."""
+    W = b_floor.width
+    if H is None:
+        H = W // 2
+    h_c = evaluation.ceiling_height(b_floor, b_ceil, camera_height)
+    lat_rows = row_to_latitude(np.arange(H), H)[:, None]
+    lat_f = b_floor.lat[None, :]
+    lat_c = b_ceil.lat[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        d_wall = camera_height / np.tan(-lat_f)
+        depth = np.where(
+            lat_rows <= lat_f, camera_height / np.tan(-lat_rows),
+            np.where(lat_rows >= lat_c, h_c / np.tan(lat_rows),
+                     np.broadcast_to(d_wall, (H, W))))
+    bad = ~np.isfinite(depth)
+    if np.any(bad):
+        raise GeometryError(f"{int(bad.sum())} nonfinite depth pixels")
+    return depth
+
+
+def reference_depth_metrics(pred, gt, threshold=1.25):
+    """Reference metrics: the former two-division formulas."""
+    rmse = float(np.sqrt(np.mean((pred - gt) ** 2)))
+    ratio = np.maximum(pred / gt, gt / pred)
+    return rmse, float(np.mean(ratio < threshold))
+
+
+class TestDepthAgainstReference:
+    @pytest.mark.parametrize("room", ["square", "lshape", "ngon"])
+    def test_noisy_scenes_bit_equal(self, room):
+        from panolayout.synth import NoiseSpec, lshape_room, ngon_room, perturb
+        shape = {"square": square_room(4.0), "lshape": lshape_room(),
+                 "ngon": ngon_room(7, 2.5)}[room]
+        scene = perturb(generate_scene(shape, 3, 256, seed=7),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=3))
+        for f in scene.frames:
+            gt = scene.ground_truth[f.view_id]
+            for H in (None, 128, 77, 1):
+                p = layout_depth(f.boundary_floor, f.boundary_ceiling, H)
+                g = layout_depth(gt[BoundaryKind.FLOOR], gt[BoundaryKind.CEILING], H)
+                assert np.array_equal(p, reference_layout_depth(
+                    f.boundary_floor, f.boundary_ceiling, H))
+                assert np.array_equal(g, reference_layout_depth(
+                    gt[BoundaryKind.FLOOR], gt[BoundaryKind.CEILING], H))
+                assert depth_metrics(p, g) == reference_depth_metrics(p, g)
+                assert depth_metrics(1.2 * p, g) == reference_depth_metrics(1.2 * p, g)
+
+    def test_boundaries_on_row_centers(self):
+        # A boundary latitude equal to a row's latitude puts that row on the
+        # floor or ceiling side, as lat_row <= lat_f and lat_row >= lat_c say.
+        H, W = 32, 24
+        rows = np.arange(W) % 7
+        bf = SphericalBoundary(row_to_latitude(H - 1 - rows, H), BoundaryKind.FLOOR)
+        bc = SphericalBoundary(row_to_latitude(rows, H), BoundaryKind.CEILING)
+        assert np.array_equal(layout_depth(bf, bc, H),
+                              reference_layout_depth(bf, bc, H))
+
+    def _overflowing_wall(self, monkeypatch, W=16):
+        # One floor latitude so close to the horizon that its wall distance
+        # overflows; ceiling_height would reject it, so it is pinned.
+        monkeypatch.setattr(evaluation, "ceiling_height", lambda *a: 1.0)
+        lat_f = np.full(W, -0.5)
+        lat_f[3] = -1e-308
+        return (SphericalBoundary(lat_f, BoundaryKind.FLOOR),
+                SphericalBoundary(np.full(W, 0.4), BoundaryKind.CEILING))
+
+    def test_nonfinite_depth_raises_geometry_error(self, monkeypatch):
+        bf, bc = self._overflowing_wall(monkeypatch)
+        with pytest.raises(GeometryError) as ref:
+            reference_layout_depth(bf, bc, 8, camera_height=2.0)
+        with pytest.raises(GeometryError) as got, np.errstate(over="ignore"):
+            layout_depth(bf, bc, 8, camera_height=2.0)
+        assert str(got.value) == str(ref.value)
+
+    def test_unused_nonfinite_wall_distance_is_ignored(self, monkeypatch):
+        # At H=2 the overflowing column has no wall row (rows sit at +-pi/4).
+        bf, bc = self._overflowing_wall(monkeypatch)
+        bc = SphericalBoundary(np.full(bf.width, 1e-308), BoundaryKind.CEILING)
+        with np.errstate(over="ignore"):
+            depth = layout_depth(bf, bc, 2, camera_height=2.0)
+        assert np.array_equal(depth, reference_layout_depth(bf, bc, 2, 2.0))
+
+
+class TestEvaluationInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_footprint_heights_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="heights"):
+            footprint_ious(UNIT_SQUARE, (1.6, bad), UNIT_SQUARE, (1.6, 0.9))
+        with pytest.raises(ValueError, match="heights"):
+            footprint_ious(UNIT_SQUARE, (1.6, 0.9), UNIT_SQUARE, (bad, 0.9))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("side", ["pred", "gt", "both"])
+    def test_depth_maps_must_be_positive_and_finite(self, bad, side):
+        good = np.full((4, 8), 2.0)
+        broken = good.copy()
+        broken[1, 5] = bad
+        pred = broken if side in ("pred", "both") else good
+        gt = broken if side in ("gt", "both") else good
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                depth_metrics(pred, gt)
+
+    def test_empty_depth_maps_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty"):
+                depth_metrics(np.ones((0, 8)), np.ones((0, 8)))
+
+    def test_overflowing_squares_keep_infinite_rmse(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rmse, delta1 = depth_metrics(np.full((2, 2), 1e300), np.full((2, 2), 1e-300))
+        assert rmse == math.inf and delta1 == 0.0
+
+
 class TestEvaluateScene:
     def test_identity_scene_is_perfect(self):
         scene = generate_scene(square_room(4.0), 3, 128, seed=21)
@@ -204,24 +324,35 @@ _FREE, _ON_ROW, _FLAT = range(3)
 _coord = st.floats(-0.5, 1.5, allow_nan=False)
 
 
-@st.composite
-def raster_cases(draw):
-    """(poly, bounds, raster) with x spilling past both sides of the bounds."""
-    raster = draw(st.integers(64, 300))
+def _draw_polygon(draw, raster):
     n = draw(st.integers(3, 64))
     xs = draw(st.lists(_coord, min_size=n, max_size=n))
     ys = draw(st.lists(_coord, min_size=n, max_size=n))
     modes = draw(st.lists(st.sampled_from((_FREE, _ON_ROW, _FLAT)),
                           min_size=n, max_size=n))
     rows = draw(st.lists(st.integers(0, raster - 1), min_size=n, max_size=n))
-    bounds = (0.0, 1.0, 0.0, 1.0)
     centers = 0.0 + (np.arange(raster) + 0.5) * ((1.0 - 0.0) / raster)
     for i in range(n):
         if modes[i] == _ON_ROW:
             ys[i] = float(centers[rows[i]])
         elif modes[i] == _FLAT and i > 0:
             ys[i] = ys[i - 1]
-    return np.column_stack([xs, ys]), bounds, raster
+    return np.column_stack([xs, ys])
+
+
+@st.composite
+def raster_cases(draw):
+    """(poly, bounds, raster) with x spilling past both sides of the bounds."""
+    raster = draw(st.integers(64, 300))
+    return _draw_polygon(draw, raster), (0.0, 1.0, 0.0, 1.0), raster
+
+
+@st.composite
+def raster_pairs(draw):
+    """(pred, gt, bounds, raster): two raster_cases polygons on one grid."""
+    raster = draw(st.integers(64, 300))
+    return (_draw_polygon(draw, raster), _draw_polygon(draw, raster),
+            (0.0, 1.0, 0.0, 1.0), raster)
 
 
 # Self-intersecting bow tie with a horizontal edge, vertices on cell-center
@@ -230,14 +361,36 @@ _BOWTIE = (np.array([[-0.3, (10 + 0.5) / 64], [1.4, (10 + 0.5) / 64],
                      [-0.2, 0.9], [1.2, 0.9]]), (0.0, 1.0, 0.0, 1.0), 64)
 
 
+# A triangle above the bounds: it crosses no cell-center row.
+_OFF_GRID = np.array([[0.0, 2.0], [1.0, 2.0], [0.5, 3.0]])
+
+
+def reference_counts(pred, gt, bounds, raster):
+    ma = per_edge_even_odd_mask(pred, bounds, raster)
+    mb = per_edge_even_odd_mask(gt, bounds, raster)
+    return int(ma.sum()), int(mb.sum()), int((ma & mb).sum())
+
+
 class TestEvenOddRaster:
     @settings(max_examples=300, deadline=None)
     @given(raster_cases())
     @example(_BOWTIE)
     def test_matches_per_edge_reference(self, case):
         poly, bounds, raster = case
-        assert np.array_equal(evaluation._even_odd_mask(poly, bounds, raster),
-                              per_edge_even_odd_mask(poly, bounds, raster))
+        n = int(per_edge_even_odd_mask(poly, bounds, raster).sum())
+        counts = evaluation._footprint_counts
+        assert counts(poly, _OFF_GRID, bounds, raster) == (n, 0, 0)
+        assert counts(_OFF_GRID, poly, bounds, raster) == (0, n, 0)
+        assert counts(poly, poly, bounds, raster) == (n, n, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raster_pairs())
+    @example((_BOWTIE[0], _BOWTIE[0][:, ::-1], *_BOWTIE[1:]))
+    @example((_BOWTIE[0], UNIT_SQUARE * 0.5 + 0.25, *_BOWTIE[1:]))
+    def test_pair_counts_match_per_edge_reference(self, case):
+        pred, gt, bounds, raster = case
+        assert evaluation._footprint_counts(pred, gt, bounds, raster) == \
+            reference_counts(pred, gt, bounds, raster)
 
     def test_bowtie_case_has_every_feature(self):
         poly, (xmin, xmax, _, _), raster = _BOWTIE
@@ -251,11 +404,24 @@ class TestEvenOddRaster:
         from panolayout.synth import NoiseSpec, lshape_room, perturb
         scene = perturb(generate_scene(lshape_room(), 2, 1024, seed=4),
                         NoiseSpec(boundary_std=0.05, seed=9))
-        poly = floor_polygon(scene.frames[0].boundary_floor, scene.frames[0].pose)
-        bounds = evaluation._union_bounds(poly, poly)
+        f = scene.frames[0]
+        poly = floor_polygon(f.boundary_floor, f.pose)
+        gt = floor_polygon(scene.ground_truth[f.view_id][BoundaryKind.FLOOR], f.pose)
+        bounds = evaluation._union_bounds(poly, gt)
         for raster in (64, 512, 1024):
-            assert np.array_equal(evaluation._even_odd_mask(poly, bounds, raster),
-                                  per_edge_even_odd_mask(poly, bounds, raster))
+            assert evaluation._footprint_counts(poly, gt, bounds, raster) == \
+                reference_counts(poly, gt, bounds, raster)
+
+    def test_memory_does_not_grow_with_raster_squared(self):
+        # A raster^2 int64 cell array alone would take 134 MB here.
+        tracemalloc.start()
+        try:
+            assert iou2d(UNIT_SQUARE, UNIT_SQUARE + [0.5, 0.0], 4096) == \
+                pytest.approx(1.0 / 3.0, abs=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestFootprintIous:
@@ -302,22 +468,22 @@ class TestOneRasterPassPerPair:
     @pytest.fixture
     def raster_calls(self, monkeypatch):
         calls = []
-        real = evaluation._even_odd_mask
+        real = evaluation._footprint_counts
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(evaluation, "_even_odd_mask", counting)
+        monkeypatch.setattr(evaluation, "_footprint_counts", counting)
         return calls
 
     def test_evaluate_view(self, raster_calls):
         scene = generate_scene(square_room(4.0), 3, 64, seed=5)
         evaluate_scene(scene, raster=128)
-        assert len(raster_calls) == 2 * 3
+        assert len(raster_calls) == 3
 
     def test_trajectory_mean_iou(self, raster_calls):
         scene = generate_scene(square_room(4.0), 3, 64, seed=5)
         iou_2d, iou_3d = selftrain._mean_iou(scene)
         assert iou_2d == 1.0 and iou_3d == 1.0
-        assert len(raster_calls) == 2 * 3
+        assert len(raster_calls) == 3

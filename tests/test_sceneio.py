@@ -1,8 +1,10 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from panolayout import cli
 from panolayout.errors import SceneFormatError
@@ -84,6 +86,66 @@ class TestSceneRoundTrip:
                                  - f1.boundary_floor.lat)) < 1e-12
 
 
+_TOKEN = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def reference_dumps_document(doc) -> str:
+    """Reference writer: the former per-float placeholder substitution."""
+    floats = []
+
+    def encode(obj):
+        if isinstance(obj, float):
+            floats.append(obj)
+            return f"\x00{len(floats) - 1}\x00"
+        if isinstance(obj, dict):
+            return {k: encode(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [encode(v) for v in obj]
+        if isinstance(obj, str) and any(ord(c) < 0x20 for c in obj):
+            raise ValueError("control characters are not allowed in strings")
+        return obj
+
+    text = json.dumps(encode(doc), ensure_ascii=True, separators=(",", ":"))
+    return _TOKEN.sub(lambda m: format_float(floats[int(m.group(1))]), text) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_float_lists = st.lists(st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, 1e16])))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), _finite,
+                    st.text(st.characters(min_codepoint=0x20)), _float_lists)
+_documents = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=5), st.dictionaries(st.text(), children, max_size=5)),
+    max_leaves=30)
+
+
+class TestWriterAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents)
+    @example([0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 0.1])
+    @example({"a": [1, 2.5, True, None, "x"], "b": [], "c": {}, "d": (1.0, -0.0)})
+    def test_same_bytes_as_reference(self, doc):
+        assert dumps_document(doc) == reference_dumps_document(doc)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scene_documents(self, seed):
+        from panolayout.pseudolabel import fuse
+        from panolayout.reprojection import build_stacks
+        from panolayout.synth import NoiseSpec, lshape_room, perturb
+        scene = perturb(generate_scene(lshape_room(), 4, 128, seed=seed),
+                        NoiseSpec(boundary_std=0.03, pose_trans_std=0.05,
+                                  pose_rot_std=0.01, seed=seed))
+        scene.pseudo_labels = {s.target_view: fuse(s)
+                               for s in build_stacks(scene, BoundaryKind.FLOOR)}
+        doc = scene_to_document(scene)
+        assert dumps_document(doc) == reference_dumps_document(doc)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        for doc in ([1.0, bad], {"k": [bad, 0.0]}, bad):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_document(doc)
+
+
 class TestValidation:
     def doc(self, scene):
         return scene_to_document(scene)
@@ -155,11 +217,17 @@ class TestValidation:
             "id": "view000", "lat_bar": [-0.5] * 64, "sigma": [0.1] * 64,
             "support": [2.5] * 64}]),
         lambda d: d.__setitem__("meta", [1]),
+        lambda d: d["ground_truth"][0].pop("boundary_floor"),
+        lambda d: d["ground_truth"][0].__setitem__("boundary_floor", None),
+        lambda d: d["frames"][0].__setitem__("floor_height", float("inf")),
+        lambda d: d["frames"][0].__setitem__("floor_height", float("nan")),
     ], ids=["frame-list", "pose-list", "ground-truth-int", "ground-truth-entry-list",
             "translation-text", "rotation-text", "boundary-text",
             "floor-height-bool", "image-height-bool", "ground-truth-unknown-id",
             "pseudo-labels-int", "pseudo-labels-unknown-id",
-            "pseudo-labels-nan", "pseudo-labels-fractional-support", "meta-list"])
+            "pseudo-labels-nan", "pseudo-labels-fractional-support", "meta-list",
+            "ground-truth-floor-absent", "ground-truth-floor-null",
+            "floor-height-inf", "floor-height-nan"])
     def test_malformed_field_exits_3_with_json_error(self, scene, tmp_path,
                                                      capsys, mutate):
         doc = self.doc(scene)
@@ -175,6 +243,13 @@ class TestValidation:
     def test_control_characters_rejected_on_save(self):
         with pytest.raises(ValueError):
             dumps_document({"id": "a\x00b"})
+
+    def test_rejected_scene_leaves_no_file(self, scene, tmp_path):
+        scene.frames[0].view_id = "a\x01b"
+        path = tmp_path / "scene.json"
+        with pytest.raises(ValueError, match="control"):
+            save_scene(scene, path)
+        assert not path.exists()
 
 
 class TestCsvWriters:
