@@ -7,15 +7,21 @@ a sorted cell key, and footprint_ious sums the lengths of the runs between
 consecutive keys where each fill, and both, are odd. Its work grows with the
 crossing count, not with raster^2.
 Depth metrics follow the fixed-camera-height protocol: both prediction and
-ground truth are scaled to a 1.6 m camera before comparison. layout_depth
-fills each column from its floor and ceiling row limits, and depth_metrics
-works in one buffer of the map's size.
+ground truth are scaled to a 1.6 m camera before comparison. A depth map is
+ceiling, wall and floor down each column between two row limits; ceiling
+and floor depths depend on the row only, a wall depth on the column only.
+evaluate_view builds no map: it sums RMSE and delta-1 from the row limits,
+with one term per row where both maps are ceiling or both floor, one per
+column for wall/wall rows, and one per pixel only in the bands where one map
+is wall and the other is not. layout_depth and depth_metrics build and
+compare whole maps; they are the map-level API and the oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +153,40 @@ def iou3d(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
     return footprint_ious(pred, pred_heights, gt, gt_heights, raster)[1]
 
 
+class _DepthRows(NamedTuple):
+    """One layout depth map by rows and columns, without the (H, W) map.
+
+    Column j is ceiling on rows [0, kc[j]), wall on [kc[j], kf[j]) and floor
+    on [kf[j], H). ceil holds the depths of rows [0, kc.max()), floor those
+    of rows [kf.min(), H), and wall one depth per column.
+    """
+
+    kc: np.ndarray
+    kf: np.ndarray
+    wall: np.ndarray
+    ceil: np.ndarray
+    floor: np.ndarray
+
+
+def _depth_rows(b_floor: SphericalBoundary, b_ceil: SphericalBoundary, H: int,
+                camera_height: float) -> _DepthRows:
+    if b_floor.kind != BoundaryKind.FLOOR or b_ceil.kind != BoundaryKind.CEILING:
+        raise ValueError("expected a (floor, ceiling) boundary pair")
+    if b_floor.width != b_ceil.width:
+        raise ValueError("floor and ceiling boundaries must share W")
+    h_c = ceiling_height(b_floor, b_ceil, camera_height)
+    lat_rows = row_to_latitude(np.arange(H), H)
+    # Row latitudes fall with the row index, so a column's ceiling rows
+    # (lat_row >= lat_c) are [0, kc) and its floor rows (lat_row <= lat_f)
+    # are [kf, H); the rows between are wall. Ceiling latitudes are positive
+    # and floor ones negative, so max(kc) <= min(kf) across any two maps.
+    kc = np.searchsorted(-lat_rows, -b_ceil.lat, side="right")
+    kf = np.searchsorted(-lat_rows, -b_floor.lat, side="left")
+    return _DepthRows(kc, kf, camera_height / np.tan(-b_floor.lat),
+                      h_c / np.tan(lat_rows[:kc.max()]),
+                      camera_height / np.tan(-lat_rows[kf.min():]))
+
+
 def layout_depth(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,
                  H: int | None = None,
                  camera_height: float = DEFAULT_CAMERA_HEIGHT) -> np.ndarray:
@@ -158,25 +198,12 @@ def layout_depth(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,
     their column; floor and ceiling pixels take the plane-intersection
     distance of their own latitude. Returns an (H, W) array in meters.
     """
-    if b_floor.kind != BoundaryKind.FLOOR or b_ceil.kind != BoundaryKind.CEILING:
-        raise ValueError("expected a (floor, ceiling) boundary pair")
-    if b_floor.width != b_ceil.width:
-        raise ValueError("floor and ceiling boundaries must share W")
-    W = b_floor.width
     if H is None:
-        H = W // 2
-    h_c = ceiling_height(b_floor, b_ceil, camera_height)
-    lat_rows = row_to_latitude(np.arange(H), H)
-    # Row latitudes fall with the row index, so a column's ceiling rows
-    # (lat_row >= lat_c) are [0, kc) and its floor rows (lat_row <= lat_f)
-    # are [kf, H); the rows between are wall.
-    kc = np.searchsorted(-lat_rows, -b_ceil.lat, side="right")
-    kf = np.searchsorted(-lat_rows, -b_floor.lat, side="left")
-    top, bottom = int(kc.max()), int(kf.min())
-    d_wall = camera_height / np.tan(-b_floor.lat)
-    ceil_rows = h_c / np.tan(lat_rows[:top])
-    floor_rows = camera_height / np.tan(-lat_rows[bottom:])
-    depth = np.broadcast_to(d_wall, (H, W)).copy()
+        H = b_floor.width // 2
+    kc, kf, d_wall, ceil_rows, floor_rows = _depth_rows(b_floor, b_ceil, H,
+                                                        camera_height)
+    top, bottom = ceil_rows.size, H - floor_rows.size
+    depth = np.broadcast_to(d_wall, (H, d_wall.size)).copy()
     row = np.arange(H)[:, None]
     np.copyto(depth[:top], ceil_rows[:, None], where=row[:top] < kc)
     np.copyto(depth[bottom:], floor_rows[:, None], where=row[bottom:] >= kf)
@@ -186,6 +213,61 @@ def layout_depth(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,
         if n_bad:
             raise GeometryError(f"{n_bad} nonfinite depth pixels")
     return depth
+
+
+def _band(lo, hi, rows, row0, wall):
+    """(row depth, wall depth) of each element in rows [lo[j], hi[j]) of column j.
+
+    rows[i - row0] is the depth of row i in the map that holds it.
+    """
+    n = np.maximum(hi - lo, 0)
+    col = np.repeat(np.arange(n.size), n)
+    row = np.arange(col.size) + np.repeat(lo - np.cumsum(n) + n, n)
+    return rows[row - row0], wall[col]
+
+
+def _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H: int):
+    """depth_metrics of the two layout_depth maps, from row limits alone.
+
+    Where both maps are ceiling, or both floor, a row has one depth pair and
+    counts once per column that has it; wall/wall rows have one pair per
+    column. Only the thin bands where one map is wall and the other is not
+    are listed element by element, so no (H, W) array is built.
+    """
+    p = _depth_rows(pred_floor, pred_ceil, H, DEFAULT_CAMERA_HEIGHT)
+    g = _depth_rows(gt_floor, gt_ceil, H, DEFAULT_CAMERA_HEIGHT)
+    if H < 1 or not all(np.all((v > 0) & (v < math.inf))
+                        for r in (p, g) for v in r[2:]):
+        # Rare: the map path rejects empty maps, raises for a bad depth some
+        # pixel uses and ignores one that no pixel uses.
+        return depth_metrics(layout_depth(pred_floor, pred_ceil, H),
+                             layout_depth(gt_floor, gt_ceil, H))
+    W = p.kc.size
+    n_c = min(p.ceil.size, g.ceil.size)
+    n_f = min(p.floor.size, g.floor.size)
+    # Both ceiling on rows [0, min kc), both floor on rows [max kf, H).
+    cover_c = W - np.cumsum(np.bincount(np.minimum(p.kc, g.kc),
+                                        minlength=n_c + 1))[:n_c]
+    cover_f = np.cumsum(np.bincount(np.maximum(p.kf, g.kf) - (H - n_f),
+                                    minlength=n_f + 1))[:n_f]
+    n_wall = np.minimum(p.kf, g.kf) - np.maximum(p.kc, g.kc)
+    # (a - b)^2 and the delta test are symmetric in a and b, so a band pair
+    # need not say which map is the prediction.
+    bands = [_band(g.kc, p.kc, p.ceil, 0, g.wall),
+             _band(p.kc, g.kc, g.ceil, 0, p.wall),
+             _band(p.kf, g.kf, p.floor, H - p.floor.size, g.wall),
+             _band(g.kf, p.kf, g.floor, H - g.floor.size, p.wall)]
+    a = np.concatenate([p.ceil[:n_c], p.floor[p.floor.size - n_f:], p.wall]
+                       + [x for x, _ in bands])
+    b = np.concatenate([g.ceil[:n_c], g.floor[g.floor.size - n_f:], g.wall]
+                       + [y for _, y in bands])
+    weight = np.concatenate([cover_c, cover_f, n_wall,
+                             np.ones(a.size - n_c - n_f - W, dtype=np.int64)])
+    diff = a - b
+    close = (a / b < DELTA_THRESHOLD) & (b / a < DELTA_THRESHOLD)
+    size = H * W
+    return (float(np.sqrt((weight * (diff * diff)).sum() / size)),
+            int(weight[close].sum()) / size)
 
 
 def depth_metrics(pred: np.ndarray, gt: np.ndarray,
@@ -226,9 +308,7 @@ def evaluate_view(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
     hf = pose.floor_height
     heights_p = (hf, ceiling_height(pred_floor, pred_ceil, hf))
     heights_g = (hf, ceiling_height(gt_floor, gt_ceil, hf))
-    depth_p = layout_depth(pred_floor, pred_ceil, H)
-    depth_g = layout_depth(gt_floor, gt_ceil, H)
-    rmse, delta1 = depth_metrics(depth_p, depth_g)
+    rmse, delta1 = _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H)
     iou_2d, iou_3d = footprint_ious(poly_p, heights_p, poly_g, heights_g, raster)
     return {"iou2d": iou_2d, "iou3d": iou_3d, "rmse": rmse, "delta1": delta1}
 

@@ -30,6 +30,11 @@ SCENE_VERSION = "1"
 _LOAD_ROTATION_TOL = 1e-6
 _STRICT_ROTATION_TOL = 1e-9
 
+# Largest |translation| entry and floor_height accepted on load, in meters.
+# Far beyond any room, and small enough that no squared world coordinate
+# overflows.
+_MAX_METERS = 1e6
+
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal, exact on round trip."""
@@ -49,6 +54,10 @@ def _float_array(values) -> str:
     if 0.0 in values:
         text = ",".join(t + ".0" if t in ("0", "-0") else t for t in text.split(","))
     return text
+
+
+def _has_control(s: str) -> bool:
+    return any(ord(c) < 0x20 for c in s)
 
 
 def _dump(obj, out: list[str]) -> None:
@@ -76,7 +85,7 @@ def _dump(obj, out: list[str]) -> None:
                 _dump(v, out)
             out.append("]")
     else:
-        if isinstance(obj, str) and any(ord(c) < 0x20 for c in obj):
+        if isinstance(obj, str) and _has_control(obj):
             raise ValueError("control characters are not allowed in strings")
         out.append(json.dumps(obj))
 
@@ -145,7 +154,7 @@ def _require(cond: bool, msg: str):
 def _array(values, dtype, ctx: str, what: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # Overflow: int > float max
         raise SceneFormatError(f"{ctx}: {what} must be numeric") from e
 
 
@@ -188,6 +197,19 @@ def _parse_rotation(values, ctx: str) -> np.ndarray:
     return R
 
 
+def _strings(value):
+    """Every string in a JSON value, dict keys included."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, str):
+            yield v
+        elif isinstance(v, dict):
+            stack += [*v.keys(), *v.values()]
+        elif isinstance(v, list):
+            stack += v
+
+
 def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     _require(isinstance(doc, dict), "scene document must be a JSON object")
     _require(doc.get("version") == SCENE_VERSION,
@@ -195,7 +217,9 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     W = doc.get("image_width")
     H = doc.get("image_height")
     _require(type(W) is int and W >= 8, "image_width must be an int >= 8")
-    _require(type(H) is int and H >= 1, "image_height must be an int >= 1")
+    # Equirectangular panoramas are W/2 tall; evaluate allocates H-long rows.
+    _require(type(H) is int and 1 <= H <= W,
+             "image_height must be an int in [1, image_width]")
     raw_frames = _records(doc.get("frames"), "frames")
     _require(len(raw_frames) > 0, "frames must be non-empty")
 
@@ -203,20 +227,24 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     for rf in raw_frames:
         vid = rf.get("id")
         _require(isinstance(vid, str) and vid != "", "frame id must be a string")
+        _require(not _has_control(vid),
+                 f"frame id {vid!r}: control characters are not allowed")
         ctx = f"frame {vid!r}"
         pose_doc = rf.get("pose") or {}
         _require(isinstance(pose_doc, dict), f"{ctx}: pose must be a JSON object")
         R = _parse_rotation(pose_doc.get("rotation"), ctx)
         t = _array(pose_doc.get("translation"), float, ctx, "translation")
         _require(t.shape == (3,), f"{ctx}: translation must be a 3-vector")
+        _require(bool(np.all(np.abs(t) <= _MAX_METERS)),
+                 f"{ctx}: translation entries must lie in [-1e6, 1e6] m")
         h = rf.get("floor_height")
         if h is None:
             h = DEFAULT_CAMERA_HEIGHT
             logger.warning("%s: floor_height missing, defaulting to %.1f m",
                            ctx, DEFAULT_CAMERA_HEIGHT)
         _require(isinstance(h, (int, float)) and not isinstance(h, bool)
-                 and 0 < h < math.inf,
-                 f"{ctx}: floor_height must be a positive finite number")
+                 and 0 < h <= _MAX_METERS,
+                 f"{ctx}: floor_height must be a positive number <= 1e6 m")
         bf = _parse_boundary(rf.get("boundary_floor"), BoundaryKind.FLOOR,
                              W, ctx, pixel_rows, H)
         _require(bf is not None, f"{ctx}: boundary_floor is required")
@@ -271,6 +299,8 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
 
     meta = doc.get("meta") or {}
     _require(isinstance(meta, dict), "meta must be a JSON object")
+    _require(not any(map(_has_control, _strings(meta))),
+             "meta: control characters are not allowed in strings")
     try:
         return Scene(frames, W, H, ground_truth, pseudo_labels, meta)
     except SceneFormatError:

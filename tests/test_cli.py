@@ -268,6 +268,28 @@ class TestErrorHandling:
         assert flag[2:].replace("-", "_") in err["error"]["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["refine", "pseudo-label"])
+    def test_control_character_frame_id_is_3(self, scene_path, tmp_path, capsys,
+                                             command):
+        # The writer rejects such an id, so it must fail before any work.
+        from panolayout import cli
+        doc = json.loads(scene_path.read_text())
+        old = doc["frames"][0]["id"]
+        for entry in doc["frames"] + doc["ground_truth"]:
+            if entry["id"] == old:
+                entry["id"] = "v\x01"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        outs = [tmp_path / name for name in ("traj.csv", "best.json", "labeled.json")]
+        argv = {"refine": ["--iters", "1", "--grid", "32", "32",
+                           "--out-traj", str(outs[0]), "--out-scene", str(outs[1])],
+                "pseudo-label": ["--out", str(outs[2])]}[command]
+        assert cli.main([command, "--scene", str(bad), *argv]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "SceneFormatError"
+        assert "control characters" in err["error"]["message"]
+        assert not any(p.exists() for p in outs)
+
 
 def _drop_gt_floor(doc):
     del doc["ground_truth"][0]["boundary_floor"]

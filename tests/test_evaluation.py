@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from panolayout import evaluation, selftrain
 from panolayout.errors import GeometryError, MetricError
-from panolayout.evaluation import depth_metrics, evaluate_scene, floor_polygon, \
-    footprint_ious, iou2d, iou3d, layout_depth
+from panolayout.evaluation import depth_metrics, evaluate_scene, evaluate_view, \
+    floor_polygon, footprint_ious, iou2d, iou3d, layout_depth
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    column_longitudes, row_to_latitude
-from panolayout.synth import generate_scene, ray_distances, square_room
+    column_longitudes, latitude_to_row, row_to_latitude
+from panolayout.synth import NoiseSpec, generate_scene, lshape_room, ngon_room, \
+    perturb, ray_distances, square_room
 
 from conftest import dist_to_polygon_boundary
 
@@ -232,6 +233,134 @@ class TestDepthAgainstReference:
         with np.errstate(over="ignore"):
             depth = layout_depth(bf, bc, 2, camera_height=2.0)
         assert np.array_equal(depth, reference_layout_depth(bf, bc, 2, 2.0))
+
+
+_ROOMS = {"square": square_room(4.0), "lshape": lshape_room(),
+          "ngon": ngon_room(7, 2.5)}
+_VIEWS = {(room, W): generate_scene(shape, 1, W, seed=11).frames[0]
+          for room, shape in _ROOMS.items() for W in (64, 256)}
+
+
+def _on_row_centers(lat, H, snap):
+    """lat with the columns in snap moved onto the nearest row center that
+    keeps the latitude's sign away from the horizon."""
+    centered = row_to_latitude(np.round(latitude_to_row(lat, H)), H)
+    ok = snap & (np.sign(centered) == np.sign(lat)) & (np.abs(centered) > 0.01)
+    return np.where(ok, centered, lat)
+
+
+@st.composite
+def view_pairs(draw):
+    """(pred_floor, pred_ceil, gt_floor, gt_ceil, pose, H) of one view.
+
+    The prediction is the ground truth plus an offset and per-column noise,
+    so its ceiling and floor rows lie above the ground truth's in some
+    columns and below in others; some columns sit exactly on row centers.
+    """
+    room = draw(st.sampled_from(sorted(_ROOMS)))
+    W = draw(st.sampled_from((64, 256)))
+    H = draw(st.sampled_from((1, 7, 77, W // 2)))
+    frame = _VIEWS[room, W]
+    gt_f, gt_c = frame.boundary_floor.lat, frame.boundary_ceiling.lat
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from((0.0, 0.01, 0.1)))
+    snap_p, snap_g = (rng.random((2, 2, W)) < draw(st.sampled_from((0.0, 0.5, 1.0))))
+    pred_f = gt_f + draw(st.floats(-0.2, 0.2)) + scale * rng.standard_normal(W)
+    pred_c = gt_c + draw(st.floats(-0.2, 0.2)) + scale * rng.standard_normal(W)
+    pred_f, pred_c = np.clip(pred_f, -1.5, -0.01), np.clip(pred_c, 0.01, 1.5)
+    floor, ceil = BoundaryKind.FLOOR, BoundaryKind.CEILING
+    return (SphericalBoundary(_on_row_centers(pred_f, H, snap_p[0]), floor),
+            SphericalBoundary(_on_row_centers(pred_c, H, snap_p[1]), ceil),
+            SphericalBoundary(_on_row_centers(gt_f, H, snap_g[0]), floor),
+            SphericalBoundary(_on_row_centers(gt_c, H, snap_g[1]), ceil),
+            frame.pose, H)
+
+
+class TestViewDepthMetrics:
+    """evaluate_view's depth metrics against depth_metrics of the two maps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(view_pairs())
+    def test_matches_depth_maps(self, case):
+        pred_f, pred_c, gt_f, gt_c, pose, H = case
+        got = evaluate_view(pred_f, pred_c, gt_f, gt_c, pose, H, raster=64)
+        rmse, delta1 = depth_metrics(layout_depth(pred_f, pred_c, H),
+                                     layout_depth(gt_f, gt_c, H))
+        assert got["delta1"] == delta1
+        assert abs(got["rmse"] - rmse) <= 1e-12 * rmse
+
+    @pytest.mark.parametrize("room", sorted(_ROOMS))
+    def test_noisy_scenes(self, room):
+        scene = perturb(generate_scene(_ROOMS[room], 3, 256, seed=7),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=3))
+        for f in scene.frames:
+            gt = scene.ground_truth[f.view_id]
+            for H in (1, 7, 77, 128, 256):
+                got = evaluate_view(f.boundary_floor, f.boundary_ceiling,
+                                    gt[BoundaryKind.FLOOR], gt[BoundaryKind.CEILING],
+                                    f.pose, H, raster=64)
+                rmse, delta1 = depth_metrics(
+                    layout_depth(f.boundary_floor, f.boundary_ceiling, H),
+                    layout_depth(gt[BoundaryKind.FLOOR], gt[BoundaryKind.CEILING], H))
+                assert got["delta1"] == delta1
+                assert abs(got["rmse"] - rmse) <= 1e-12 * rmse
+
+    def test_memory_does_not_grow_with_map_size(self):
+        # One (2048, 4096) float64 depth map alone would take 64 MB.
+        scene = perturb(generate_scene(_ROOMS["lshape"], 1, 4096, seed=2),
+                        NoiseSpec(boundary_std=0.03, seed=1))
+        f = scene.frames[0]
+        gt = scene.ground_truth[f.view_id]
+        args = (f.boundary_floor, f.boundary_ceiling, gt[BoundaryKind.FLOOR],
+                gt[BoundaryKind.CEILING], f.pose, 2048)
+        tracemalloc.start()
+        try:
+            got = evaluate_view(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert 0.0 < got["rmse"] and 0.0 < got["delta1"] < 1.0
+
+    def _overflowing_wall(self, monkeypatch, W=16):
+        # A floor latitude whose 1.6 m wall distance overflows; floor_polygon
+        # and ceiling_height would reject it first, so both are pinned.
+        monkeypatch.setattr(evaluation, "ceiling_height", lambda *a: 1.0)
+        monkeypatch.setattr(evaluation, "floor_polygon", lambda b, pose: UNIT_SQUARE)
+        lat_f = np.full(W, -0.5)
+        lat_f[3] = -1e-309
+        bf = SphericalBoundary(lat_f, BoundaryKind.FLOOR)
+        gf = SphericalBoundary(np.full(W, -0.5), BoundaryKind.FLOOR)
+        return bf, gf, CameraPose(np.eye(3), np.zeros(3), 1.6)
+
+    def test_nonfinite_depth_raises_geometry_error(self, monkeypatch):
+        bf, gf, pose = self._overflowing_wall(monkeypatch)
+        bc = SphericalBoundary(np.full(bf.width, 0.4), BoundaryKind.CEILING)
+        with pytest.raises(GeometryError) as ref, np.errstate(over="ignore"):
+            reference_layout_depth(bf, bc, 8)
+        with pytest.raises(GeometryError) as got, np.errstate(over="ignore"):
+            evaluate_view(bf, bc, gf, bc, pose, 8, raster=64)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("H", [0, -1])
+    def test_no_rows_rejected_like_the_maps(self, H):
+        f = _VIEWS["square", 64]
+        args = (f.boundary_floor, f.boundary_ceiling)
+        with pytest.raises(ValueError) as ref:
+            depth_metrics(layout_depth(*args, H), layout_depth(*args, H))
+        with pytest.raises(ValueError) as got:
+            evaluate_view(*args, *args, f.pose, H, raster=64)
+        assert str(got.value) == str(ref.value)
+
+    def test_unused_nonfinite_wall_distance_is_ignored(self, monkeypatch):
+        # At H=2 no column has a wall row (rows sit at +-pi/4).
+        bf, gf, pose = self._overflowing_wall(monkeypatch)
+        bc = SphericalBoundary(np.full(bf.width, 1e-3), BoundaryKind.CEILING)
+        with np.errstate(over="ignore"):
+            got = evaluate_view(bf, bc, gf, bc, pose, 2, raster=64)
+            expected = depth_metrics(reference_layout_depth(bf, bc, 2),
+                                     reference_layout_depth(gf, bc, 2))
+        assert (got["rmse"], got["delta1"]) == expected
 
 
 class TestEvaluationInputChecks:

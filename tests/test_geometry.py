@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panolayout.errors import GeometryError
-from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    WorldPolyline, boundary_to_world, ceiling_height, column_longitudes, \
-    pixel_to_spherical, world_to_boundary_samples
+from panolayout.geometry import LAT_MIN, BoundaryKind, CameraPose, \
+    SphericalBoundary, WorldPolyline, boundary_to_world, ceiling_height, \
+    column_longitudes, pixel_to_spherical, world_to_boundary_samples, \
+    wrap_longitude
 from panolayout.synth import ray_distances, square_room
 
 from conftest import dist_to_polygon_boundary, random_boundary, random_pose, \
@@ -132,6 +134,44 @@ class TestWorldToBoundary:
         poly = WorldPolyline(pts, "", BoundaryKind.FLOOR)
         with pytest.raises(GeometryError):
             world_to_boundary_samples(poly, identity_pose())
+
+
+def _tilt(ax: float, az: float) -> np.ndarray:
+    """Rotation about X by ax, then about Z by az."""
+    cx, sx, cz, sz = math.cos(ax), math.sin(ax), math.cos(az), math.sin(az)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    return rz @ rx
+
+
+_angle = st.floats(-0.3, 0.3)
+_offset = st.floats(-5.0, 5.0)
+_height = st.floats(0.3, 4.0)
+
+
+@st.composite
+def posed_boundaries(draw):
+    """(boundary, pose): yaw, a small tilt, translation and both heights."""
+    W = draw(st.integers(8, 256))
+    kind = draw(st.sampled_from(list(BoundaryKind)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mag = rng.uniform(LAT_MIN, 1.5, W)
+    R = rotation_about_y(draw(st.floats(-math.pi, math.pi))) @ \
+        _tilt(draw(_angle), draw(_angle))
+    pose = CameraPose(R, np.array([draw(_offset) for _ in range(3)]),
+                      draw(_height), draw(_height))
+    lat = -mag if kind == BoundaryKind.FLOOR else mag
+    return SphericalBoundary(lat, kind), pose
+
+
+@settings(max_examples=200, deadline=None)
+@given(posed_boundaries())
+def test_se3_round_trip_returns_columns_and_latitudes(case):
+    b, pose = case
+    samples = world_to_boundary_samples(boundary_to_world(b, pose), pose)
+    lon_err = wrap_longitude(samples[:, 0] - column_longitudes(b.width))
+    assert np.max(np.abs(lon_err)) < 1e-9
+    assert np.max(np.abs(samples[:, 1] - b.lat)) < 1e-9
 
 
 class TestRigidEquivariance:

@@ -35,10 +35,12 @@ def _base_documents():
 
 BASES = _base_documents()
 
-# Replacement ints stay small: image_height sets the row count of evaluate's
-# (image_height, W) depth maps.
+# The loader bounds image_height by image_width, and evaluate builds no
+# (image_height, W) depth map, so a huge int is an input like any other;
+# 10**400 does not fit a float.
 _values = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 10_000),
+    st.none(), st.booleans(), st.integers(-3, 10_000), st.just(10 ** 9),
+    st.just(10 ** 400),
     st.floats(allow_nan=True, allow_infinity=True), st.floats(-1.6, 1.6),
     st.floats(1e-12, 1e12), st.text(max_size=4),
     st.lists(st.floats(-2.0, 2.0), max_size=20), st.just({}), st.just([]))
@@ -96,6 +98,8 @@ def _run(argv) -> tuple[int, str]:
 @example((1, ["ground_truth", 1, "boundary_floor"], "replace", None))
 @example((0, ["frames", 2, "floor_height"], "replace", float("inf")))
 @example((1, ["ground_truth", 2], "delete", None))
+@example((0, ["frames", 0, "floor_height"], "replace", 3e154))
+@example((0, ["image_height"], "replace", 10 ** 9))
 def test_mutated_scene_ends_in_documented_exit(mutation):
     base, path, op, value = mutation
     doc = mutate(copy.deepcopy(BASES[base]), path, op, value)

@@ -221,13 +221,25 @@ class TestValidation:
         lambda d: d["ground_truth"][0].__setitem__("boundary_floor", None),
         lambda d: d["frames"][0].__setitem__("floor_height", float("inf")),
         lambda d: d["frames"][0].__setitem__("floor_height", float("nan")),
+        lambda d: d["frames"][0].__setitem__("floor_height", 3e154),
+        lambda d: d["frames"][0]["pose"].__setitem__("translation", [0.0, -2e6, 0.0]),
+        lambda d: d["frames"][0]["pose"].__setitem__("translation", [10 ** 400, 0, 0]),
+        lambda d: d.__setitem__("image_height", 1_000_000_000),
+        lambda d: d.__setitem__("image_height", d["image_width"] + 1),
+        lambda d: d.__setitem__("image_height", 0),
+        lambda d: d["frames"][0].__setitem__("id", "v\x01"),
+        lambda d: d.__setitem__("meta", {"note\n": "x"}),
+        lambda d: d.__setitem__("meta", {"note": ["ok", {"deep": "a\x1fb"}]}),
     ], ids=["frame-list", "pose-list", "ground-truth-int", "ground-truth-entry-list",
             "translation-text", "rotation-text", "boundary-text",
             "floor-height-bool", "image-height-bool", "ground-truth-unknown-id",
             "pseudo-labels-int", "pseudo-labels-unknown-id",
             "pseudo-labels-nan", "pseudo-labels-fractional-support", "meta-list",
             "ground-truth-floor-absent", "ground-truth-floor-null",
-            "floor-height-inf", "floor-height-nan"])
+            "floor-height-inf", "floor-height-nan", "floor-height-huge",
+            "translation-huge", "translation-int-beyond-float", "image-height-huge",
+            "image-height-above-width", "image-height-zero", "frame-id-control",
+            "meta-key-control", "meta-value-control"])
     def test_malformed_field_exits_3_with_json_error(self, scene, tmp_path,
                                                      capsys, mutate):
         doc = self.doc(scene)
