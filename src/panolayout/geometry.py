@@ -229,14 +229,25 @@ def world_to_boundary_samples(poly: WorldPolyline, pose: CameraPose) -> np.ndarr
 
     Raises GeometryError if any point coincides with the camera center.
     """
-    q = (poly.points - pose.translation) @ pose.rotation
-    norm = np.linalg.norm(q, axis=1)
+    # Column-wise forms of the (n, 3) - (3,) broadcast, the row norm and the
+    # row division: the same operations on the same values in the same order
+    # (the norm sums x*x + y*y + z*z left to right, as np.add.reduce does over
+    # three elements), without numpy loops over a length-3 inner axis.
+    pts = poly.points
+    d = np.empty_like(pts)
+    for k in range(3):
+        np.subtract(pts[:, k], pose.translation[k], out=d[:, k])
+    x, y, z = (d @ pose.rotation).T
+    norm = x * x
+    norm += y * y
+    norm += z * z
+    np.sqrt(norm, out=norm)
     if np.any(norm <= 1e-9):
         raise GeometryError("polyline point coincides with the camera center")
-    qn = q / norm[:, None]
-    lon = np.arctan2(qn[:, 0], qn[:, 2])
-    lat = np.arcsin(np.clip(-qn[:, 1], -1.0, 1.0))
-    return np.stack([lon, lat], axis=1)
+    out = np.empty((pts.shape[0], 2))
+    np.arctan2(x / norm, z / norm, out=out[:, 0])
+    np.arcsin(np.clip(-(y / norm), -1.0, 1.0), out=out[:, 1])
+    return out
 
 
 def ceiling_height(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,

@@ -54,10 +54,14 @@ def fuse(stack: BoundaryStack, estimator: str = "median",
         # Lower median: index (n-1)//2 of the sorted valid entries.
         idx = (support - 1) // 2
         lat_bar = np.take_along_axis(order, idx[:, None], axis=1)[:, 0]
-    else:
-        lat_bar = np.nanmean(order, axis=1)
-    mean = np.nanmean(order, axis=1)
-    var = np.nanmean((order - mean[:, None]) ** 2, axis=1)
+    # nanmean of the sorted entries: the same sums with NaN entries zeroed,
+    # divided by the valid count. Valid entries are finite, so the zeroed
+    # entries are exactly the invalid ones, in both passes.
+    filled = ~np.isnan(order)
+    mean = np.where(filled, order, 0.0).sum(axis=1) / support
+    if estimator == "mean":
+        lat_bar = mean
+    var = np.where(filled, (order - mean[:, None]) ** 2, 0.0).sum(axis=1) / support
     sigma = np.maximum(np.sqrt(var), sigma_floor)
     return PseudoLabel(lat_bar, sigma, support.astype(np.int64))
 

@@ -10,6 +10,14 @@ call of the resampling kernel, and resample_to_columns is the kernel's
 one-curve case. The kernel expands only the segments within the gap limit
 and picks one crossing per column with a scatter-min, not a sort. A stack
 entry's lat is NaN exactly where its valid flag is False.
+
+The kernel takes longitudes in [-pi, pi]: world_to_boundary_samples returns
+arctan2 values, which lie there, and resample_to_columns wraps any other
+longitude into that range first. Each of the kernel's three angle wraps then
+sees values in [-2*pi, 4*pi), where a conditional add or subtract of 2*pi
+equals np.remainder bit for bit: fmod is exact, and x - 2*pi is exact on
+[2*pi, 4*pi] by Sterbenz's lemma. Column indices likewise stay below 2*W and
+wrap with one conditional subtract.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .errors import CoverageError
 from .geometry import BoundaryKind, CameraPose, SphericalBoundary, WorldPolyline, \
-    boundary_to_world, column_longitudes, world_to_boundary_samples
+    boundary_to_world, column_longitudes, world_to_boundary_samples, wrap_longitude
 from .scene import Scene
 
 logger = logging.getLogger(__name__)
@@ -87,7 +95,8 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
     Where the curve overlaps itself, one crossing per column wins: the one
     whose source longitude is angularly nearest the target column, then the
     lowest segment index. The number of crossings that lose a column is
-    logged as contested.
+    logged as contested. Longitudes outside [-pi, pi] are wrapped into it
+    first, and a NaN longitude makes both its segments gaps.
 
     Returns (lat, valid): (W,) float array (NaN where invalid) and (W,) bool.
     """
@@ -96,6 +105,12 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
         raise ValueError(f"samples must be (n, 2), got {samples.shape}")
     if samples.shape[0] < 2:
         raise ValueError("resampling needs at least 2 samples")
+    lon = samples[:, 0]
+    outside = ~((lon >= -math.pi) & (lon <= math.pi))
+    if outside.any():
+        # Only these are wrapped: in-range longitudes keep their bits.
+        samples = samples.copy()
+        samples[outside, 0] = wrap_longitude(lon[outside])
     if gap_max is None:
         gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
     lat, valid, n_contested = _resample_batch(samples[None], W, gap_max)
@@ -104,75 +119,98 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
     return lat[0], valid[0]
 
 
+def _wrap_two_pi(x: np.ndarray) -> np.ndarray:
+    """np.remainder(x, 2*pi), bit for bit, for x in [-2*pi, 4*pi).
+
+    As fmod is exact, np.remainder returns x + 2*pi rounded once below 0,
+    x itself on [0, 2*pi) and the exact x - 2*pi above. Here x gains 2*pi
+    times a turn of +1, 0 or -1; the product is exact, and adding +0.0 turns
+    -0.0 into +0.0 as np.remainder does.
+    """
+    turns = (x < 0.0).view(np.int8) - (x >= _TWO_PI).view(np.int8)
+    return x + _TWO_PI * turns
+
+
 def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     """resample_to_columns for m curves of n samples each in one call.
 
-    samples is (m, n, 2). Only segments within gap_max are expanded into
-    candidate crossings, keyed by curve * W + column. Two scatter-mins pick
-    one per key: the least source distance, then among equals the lowest
-    candidate index, which follows segment order. Only the winners are
-    interpolated, and a column is valid exactly where it has one.
+    samples is (m, n, 2) with longitudes in [-pi, pi]. Only segments within
+    gap_max are expanded into candidate crossings, keyed by column * m +
+    curve. Two scatter-mins pick one per key: the least source distance,
+    then among equals the lowest candidate index, which follows segment
+    order. Only the winners are interpolated, and a column is valid exactly
+    where it has one.
 
     Returns (lat, valid, n_contested): lat (m, W) is NaN where valid (m, W)
     is False, and n_contested counts the gap-valid crossings that lose a
-    column, summed over the curves.
+    column, summed over the curves. lat and valid are transposed views of
+    C-ordered (W, m) arrays, the layout stacks keep.
     """
     m, n = samples.shape[:2]
-    source_lon = np.tile(column_longitudes(n), m)       # per segment
-    row = np.repeat(np.arange(m) * W, n)                # key of column 0
-    lon = samples[..., 0].ravel()
-    lat = samples[..., 1].ravel()
-    lon_b = np.roll(samples[..., 0], -1, axis=1).ravel()
-    lat_b = np.roll(samples[..., 1], -1, axis=1).ravel()
-    delta = (lon_b - lon + math.pi) % _TWO_PI - math.pi   # (-pi, pi)
-    sgn = np.sign(delta)
+    # Each curve is a row of n + 1 entries closed by a copy of its first
+    # sample, so segment k runs from flat entry k to entry k + 1; the entries
+    # k = n, 2n + 1, ... would join two curves and are never segments.
+    ext = np.empty((2, m, n + 1))
+    ext[:, :, :n] = np.moveaxis(samples, 2, 0)
+    ext[:, :, n] = ext[:, :, 0]
+    lon, lat = ext.reshape(2, -1)
+    delta = _wrap_two_pi(lon[1:] - lon[:-1] + math.pi) - math.pi   # [-pi, pi]
     adel = np.abs(delta)
-    segs = np.flatnonzero((adel > 0.0) & (adel <= gap_max))
+    in_gap = (adel > 0.0) & (adel <= gap_max)
+    in_gap[n::n + 1] = False
+    segs = np.flatnonzero(in_gap)
+    curve, src_col = np.divmod(segs, n + 1)
+    sgn, adel = np.sign(delta[segs]), adel[segs]
+    lon_a, lon_b = lon[segs], lon[segs + 1]
 
     step = _TWO_PI / W
     # Enumerate covered columns per segment on a direction-normalized grid:
     # for sgn=-1 longitudes are mirrored, which maps the column grid onto
     # itself with index c -> W-1-c. Both segment endpoints use the same
     # grid-position expression, so consecutive same-direction segments tile
-    # the columns without rounding gaps.
-    g_a = (sgn[segs] * lon[segs] + math.pi) / step - 0.5
-    g_b = (sgn[segs] * lon_b[segs] + math.pi) / step - 0.5
+    # the columns without rounding gaps. Column indices before the wrap lie
+    # in [0, 2W), so one conditional subtract stands in for % W.
+    g_a = (sgn * lon_a + math.pi) / step - 0.5
+    g_b = (sgn * lon_b + math.pi) / step - 0.5
     g_b = np.where(g_b < g_a, g_b + W, g_b)           # arc crosses the seam
     c_start = np.ceil(g_a)
     cnt = np.maximum(np.floor(g_b) - c_start + 1, 0).astype(np.int64)
-    i = np.repeat(np.arange(segs.size), cnt)
-    offset = np.arange(i.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    c_mirror = (c_start[i].astype(np.int64) + offset) % W
-    seg = segs[i]
-    col = np.where(sgn[seg] < 0, W - 1 - c_mirror, c_mirror)
-    key = row[seg] + col
+    i = np.repeat(np.arange(segs.size), cnt)          # candidate -> segment
+    c = (c_start.astype(np.int64) - (np.cumsum(cnt) - cnt))[i] + np.arange(i.size)
+    c -= W * (c >= W)
+    col = np.where(sgn[i] < 0, W - 1 - c, c)
+    key = col * m + curve[i]
 
-    centers = 2.0 * math.pi * (col + 0.5) / W - math.pi
-    p = (sgn[seg] * (centers - lon[seg])) % _TWO_PI
+    centers = column_longitudes(W)[col]
+    p = _wrap_two_pi(sgn[i] * (centers - lon_a[i]))
     p = np.where(p > _TWO_PI - _EPS, 0.0, p)              # rounding wrap at 0
-    ok = p <= adel[seg] + _EPS
-    seg, key, p, centers = seg[ok], key[ok], p[ok], centers[ok]
-    src_dist = np.abs((source_lon[seg] - centers + math.pi) % _TWO_PI - math.pi)
+    ok = p <= adel[i] + _EPS
+    if not ok.all():
+        i, key, p, centers = i[ok], key[ok], p[ok], centers[ok]
+    src_dist = np.abs(_wrap_two_pi(column_longitudes(n)[src_col[i]] - centers
+                                   + math.pi) - math.pi)
 
     best = np.full(m * W, np.inf)
     np.minimum.at(best, key, src_dist)
     tie = np.flatnonzero(src_dist == best[key])
-    pick = np.full(m * W, seg.size)
+    pick = np.full(m * W, i.size)
     np.minimum.at(pick, key[tie], tie)
-    valid = pick < seg.size
+    valid = pick < i.size
     won = np.flatnonzero(valid)
     pick = pick[won]
-    seg, p, centers = seg[pick], p[pick], centers[pick]
+    i, p, centers = i[pick], p[pick], centers[pick]
+    a = segs[i]
+    lat_a, lat_b, adel = lat[a], lat[a + 1], adel[i]
 
-    t = np.minimum(p, adel[seg]) / adel[seg]
+    t = np.minimum(p, adel) / adel
     # Columns exactly at a sample's longitude take that sample's latitude
     # verbatim; interpolation arithmetic would be a ulp off at the far end.
-    at_start = centers == lon[seg]
-    at_end = (centers == lon_b[seg]) | (t >= 1.0)
-    interp = lat[seg] + t * (lat_b[seg] - lat[seg])
+    at_start = centers == lon_a[i]
+    at_end = (centers == lon_b[i]) | (t >= 1.0)
+    interp = lat_a + t * (lat_b - lat_a)
     out_lat = np.full(m * W, np.nan)
-    out_lat[won] = np.where(at_start, lat[seg], np.where(at_end, lat_b[seg], interp))
-    return out_lat.reshape(m, W), valid.reshape(m, W), key.size - won.size
+    out_lat[won] = np.where(at_start, lat_a, np.where(at_end, lat_b, interp))
+    return out_lat.reshape(W, m).T, valid.reshape(W, m).T, key.size - won.size
 
 
 def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
@@ -224,8 +262,11 @@ def _stack_from_polylines(polys: list[WorldPolyline], dst_pose: CameraPose,
                                               DEFAULT_GAP_FACTOR * _TWO_PI / W)
     if n_contested:
         logger.debug("resample: %d contested column crossings", n_contested)
-    # C-ordered (W, n) copies: fusion reduces along the view axis, and its
-    # summation order follows the memory layout.
+    # The kernel's results transpose to C-ordered (W, n) arrays: fusion
+    # reduces along the view axis, and its summation order follows the
+    # memory layout. The stack keeps copies: holding the kernel's own buffers,
+    # allocated among its temporaries, raised a refine job's peak RSS by
+    # about 1.5 MB.
     lat, valid = lat.T.copy(), valid.T.copy()
     valid &= _lat_in_range(lat, kind)
     lat[~valid] = np.nan

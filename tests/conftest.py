@@ -5,12 +5,48 @@ than calling the library paths under test.
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary
+from panolayout.errors import GeometryError
+from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
+    WorldPolyline
 from panolayout.scene import Scene, ViewFrame
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(**extra) -> dict:
+    """Environment for a `python -m panolayout` child process.
+
+    The checkout's src directory goes first on PYTHONPATH, so the child runs
+    the package under test whether or not it is installed.
+    """
+    env = os.environ.copy()
+    env.update(extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def reference_world_to_boundary_samples(poly: WorldPolyline,
+                                        pose: CameraPose) -> np.ndarray:
+    """The former row-wise world_to_boundary_samples, kept as the oracle.
+
+    The library computes the same values column by column and must match
+    this bit for bit.
+    """
+    q = (poly.points - pose.translation) @ pose.rotation
+    norm = np.linalg.norm(q, axis=1)
+    if np.any(norm <= 1e-9):
+        raise GeometryError("polyline point coincides with the camera center")
+    qn = q / norm[:, None]
+    lon = np.arctan2(qn[:, 0], qn[:, 2])
+    lat = np.arcsin(np.clip(-qn[:, 1], -1.0, 1.0))
+    return np.stack([lon, lat], axis=1)
 
 
 def dist_to_polygon_boundary(points_xz: np.ndarray, poly: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from panolayout.selftrain import TrainConfig, run, select_views
 from panolayout.synth import NoiseSpec, generate_scene, lshape_room, ngon_room, \
     perturb, square_room
 
-from conftest import coaxial_cylinder_scene, dist_to_polygon_boundary, \
-    random_boundary, random_pose
+from conftest import child_env, coaxial_cylinder_scene, \
+    dist_to_polygon_boundary, random_boundary, random_pose
 
 
 def report(num, ok, desc, detail):
@@ -305,11 +305,9 @@ def test_criterion_10_metric_sanity():
 
 def test_criterion_11_cli_determinism(tmp_path):
     def run_cli(args, cap):
-        import os
-        env = os.environ.copy()
-        env["MLC_THREADS"] = cap
         res = subprocess.run([sys.executable, "-m", "panolayout", *args],
-                             capture_output=True, text=True, env=env)
+                             capture_output=True, text=True,
+                             env=child_env(MLC_THREADS=cap))
         assert res.returncode == 0, res.stderr
         return res.stdout
 

@@ -8,14 +8,13 @@ import pytest
 
 from panolayout.sceneio import load_scene
 
+from conftest import child_env
+
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "panolayout", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True,
+                          env=child_env(**(env_extra or {})), cwd=cwd)
 
 
 @pytest.fixture

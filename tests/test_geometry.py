@@ -12,7 +12,7 @@ from panolayout.geometry import LAT_MIN, BoundaryKind, CameraPose, \
 from panolayout.synth import ray_distances, square_room
 
 from conftest import dist_to_polygon_boundary, random_boundary, random_pose, \
-    rotation_about_y
+    reference_world_to_boundary_samples, rotation_about_y
 
 
 def identity_pose(h_floor=1.6, h_ceil=None, t=(0.0, 0.0, 0.0)):
@@ -260,3 +260,59 @@ class TestTypeInvariants:
             CameraPose(refl, np.zeros(3))
         with pytest.raises(ValueError):
             CameraPose(np.eye(3), np.zeros(3), floor_height=0.0)
+
+
+@st.composite
+def posed_points(draw):
+    """(polyline, pose): tilted or axis-aligned poses, translations up to the
+    loader's 1e6 m bound, and points from just outside the camera-center
+    guard out to 1e6 m, some of them on the camera axes."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        R = rotation_about_y(draw(st.floats(-math.pi, math.pi))) @ \
+            _tilt(draw(st.floats(-math.pi, math.pi)),
+                  draw(st.floats(-math.pi, math.pi)))
+    else:
+        R = np.eye(3)
+    t = np.array([draw(st.floats(-1e6, 1e6)) for _ in range(3)])
+    dirs = rng.normal(size=(n, 3))
+    on_axis = rng.random(n) < draw(st.sampled_from((0.0, 0.3)))
+    dirs[on_axis] = np.eye(3)[rng.integers(0, 3, on_axis.sum())] \
+        * rng.choice((-1.0, 1.0), (on_axis.sum(), 1))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dist = 10.0 ** rng.uniform(draw(st.sampled_from((-8.5, -3.0, 0.0))), 6.0, n)
+    pts = t + (dirs * dist[:, None]) @ R.T
+    return WorldPolyline(pts, "", BoundaryKind.FLOOR), CameraPose(R, t)
+
+
+def _samples_or_error(fn, poly, pose):
+    try:
+        return fn(poly, pose)
+    except GeometryError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(posed_points())
+def test_world_to_boundary_samples_matches_reference_bits(case):
+    poly, pose = case
+    got = _samples_or_error(world_to_boundary_samples, poly, pose)
+    ref = _samples_or_error(reference_world_to_boundary_samples, poly, pose)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_world_to_boundary_samples_guard_matches_reference():
+    # Points at the camera center and at distances about the 1e-9 guard.
+    pose = CameraPose(rotation_about_y(0.4), np.array([3.0, -1.0, 2.0]))
+    for d in (0.0, 5e-10, 1e-9, 2e-9):
+        pts = pose.translation + np.array([[0.0, 1.0, 0.0], [d, 0.0, 0.0]])
+        poly = WorldPolyline(pts, "", BoundaryKind.FLOOR)
+        got = _samples_or_error(world_to_boundary_samples, poly, pose)
+        ref = _samples_or_error(reference_world_to_boundary_samples, poly, pose)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(got, ref)

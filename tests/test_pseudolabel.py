@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panolayout.geometry import BoundaryKind
-from panolayout.pseudolabel import PseudoLabel, fuse, l1_loss, wbc_loss
+from panolayout.pseudolabel import SIGMA_FLOOR_DEFAULT, PseudoLabel, fuse, \
+    l1_loss, wbc_loss
 from panolayout.reprojection import BoundaryStack, build_stack
 from panolayout.synth import NoiseSpec, generate_scene, perturb, square_room
 
@@ -16,6 +20,74 @@ def stack_from(lat_rows, valid=None, kind=BoundaryKind.FLOOR):
         valid = ~np.isnan(lat)
     return BoundaryStack("t", lat, np.asarray(valid, bool), kind,
                          [f"v{i}" for i in range(lat.shape[1])])
+
+
+def reference_fuse(stack, estimator="median", sigma_floor=SIGMA_FLOOR_DEFAULT):
+    """The former fuse with one nanmean pass per mean, kept as the oracle."""
+    lat = np.where(stack.valid, stack.lat, np.nan)
+    support = stack.valid.sum(axis=1)
+    order = np.sort(lat, axis=1)
+    if estimator == "median":
+        idx = (support - 1) // 2
+        lat_bar = np.take_along_axis(order, idx[:, None], axis=1)[:, 0]
+    else:
+        lat_bar = np.nanmean(order, axis=1)
+    mean = np.nanmean(order, axis=1)
+    var = np.nanmean((order - mean[:, None]) ** 2, axis=1)
+    sigma = np.maximum(np.sqrt(var), sigma_floor)
+    return PseudoLabel(lat_bar, sigma, support.astype(np.int64))
+
+
+@st.composite
+def fusion_cases(draw):
+    """(stack, estimator, sigma_floor): finite valid entries drawn from a small
+    pool (ties, signed zeros), invalid entries holding NaN or stale values,
+    columns with one valid entry or an even count, and at times one column
+    with none."""
+    W = draw(st.integers(1, 48))
+    N = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=6))
+                    + [-0.0, 0.0])
+    lat = np.where(rng.random((W, N)) < 0.5, rng.choice(pool, (W, N)),
+                   rng.uniform(-1.5, 1.5, (W, N)))
+    valid = rng.random((W, N)) < draw(st.sampled_from((0.2, 0.6, 1.0)))
+    for c in range(W):
+        shape = rng.integers(0, 4)
+        if shape == 1:                                   # single entry
+            valid[c] = False
+            valid[c, rng.integers(0, N)] = True
+        elif shape == 2 and N >= 2:                      # even count
+            k = 2 * rng.integers(1, N // 2 + 1)
+            valid[c] = False
+            valid[c, rng.choice(N, k, replace=False)] = True
+    if draw(st.booleans()):
+        valid[rng.integers(0, W)] = False                # no valid entry
+    lat[~valid & (rng.random((W, N)) < 0.5)] = np.nan    # others keep values
+    stack = BoundaryStack("t", lat, valid, BoundaryKind.FLOOR,
+                          [f"v{i}" for i in range(N)])
+    return stack, draw(st.sampled_from(("median", "mean"))), \
+        draw(st.sampled_from((SIGMA_FLOOR_DEFAULT, 1e-12, 0.5)))
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fusion_cases())
+def test_fuse_matches_reference_bits(case):
+    stack, estimator, sigma_floor = case
+    # A column without valid entries makes both warn about an empty mean.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = fuse(stack, estimator, sigma_floor)
+        ref = reference_fuse(stack, estimator, sigma_floor)
+    assert_same_bits(got.lat_bar, ref.lat_bar)
+    assert_same_bits(got.sigma, ref.sigma)
+    assert_same_bits(got.support, ref.support)
 
 
 class TestFuse:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from panolayout import reprojection
 from panolayout.errors import CoverageError
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    column_longitudes, world_to_boundary_samples
+    column_longitudes
 from panolayout.reprojection import build_stack, build_stacks, \
     reproject_boundary, resample_to_columns
 from panolayout.scene import Scene, ViewFrame
@@ -20,7 +20,7 @@ from panolayout.synth import NoiseSpec, generate_scene, lshape_room, ngon_room, 
     perturb, ray_distances, square_room
 
 from conftest import coaxial_cylinder_scene, random_boundary, random_pose, \
-    rotation_about_y
+    reference_world_to_boundary_samples, rotation_about_y
 
 
 def upright(yaw, t, hf=1.6, hc=None):
@@ -196,6 +196,9 @@ def noisy_scenes_and_orders(draw):
 # Segments 1 and 2 both cross column 4 (longitude 0) at source distance pi/4
 # from opposite sides; the lower segment index must win.
 _TIE = (np.array([[-1.0, -0.4], [1.0, -0.6], [-1.0, -0.9], [1.0, -0.2]]), 9, None)
+# Samples at -0.0 and 0.0 on column 4's center, which several segments cross.
+_NEG_ZERO = (np.array([[-2.0, -0.4], [-0.0, -0.5], [2.0, -0.6], [0.0, -0.7],
+                       [-math.pi, -0.3]]), 9, 1e9)
 
 
 class TestReprojectBoundary:
@@ -296,6 +299,7 @@ class TestResampleToColumns:
     @settings(max_examples=400, deadline=None)
     @given(closed_curves())
     @example(_TIE)
+    @example(_NEG_ZERO)
     def test_matches_reference_selection(self, case):
         # The oracle also resolves gap-invalid crossings; the library leaves
         # those columns NaN and counts only gap-valid contests.
@@ -311,6 +315,38 @@ class TestResampleToColumns:
         assert np.isnan(lat[~valid]).all()
         assert logged == ([contested] if contested else [])
 
+    @pytest.mark.parametrize("turns", (-2, -1, 1, 2))
+    def test_longitudes_outside_pi_are_wrapped(self, turns, rng):
+        # A curve shifted by whole turns is the same curve: the same valid
+        # columns, latitudes equal up to the rounding of the shifted samples.
+        for W, n, gap_max in ((64, 64, None), (100, 37, None), (48, 300, 1e9)):
+            lon = column_longitudes(n) + rng.uniform(-0.3, 0.3)
+            lon = (lon + math.pi) % (2.0 * math.pi) - math.pi
+            samples = np.column_stack([lon, -rng.uniform(0.2, 1.2, n)])
+            lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR,
+                                             gap_max)
+            shifted = samples + [[turns * 2.0 * math.pi, 0.0]]
+            kept = shifted.copy()
+            lat_s, valid_s = resample_to_columns(shifted, W, BoundaryKind.FLOOR,
+                                                 gap_max)
+            assert np.array_equal(shifted, kept)        # input left untouched
+            ref_lat, ref_valid, _ = reference_resample_to_columns(shifted, W,
+                                                                  gap_max)
+            assert valid.any()
+            assert np.array_equal(valid_s, valid)
+            assert np.array_equal(valid_s, ref_valid)
+            assert np.max(np.abs(lat_s[valid] - lat[valid])) < 1e-12
+            assert np.max(np.abs(lat_s[valid] - ref_lat[valid])) < 1e-12
+
+    def test_nan_longitude_leaves_a_gap(self):
+        samples = np.stack([column_longitudes(32), np.full(32, -0.5)], axis=1)
+        samples[10, 0] = math.nan
+        lat, valid = resample_to_columns(samples, 32, BoundaryKind.FLOOR)
+        # Column 10 sits on the NaN sample; its neighbours are still reached
+        # by the segments beyond.
+        assert np.flatnonzero(~valid).tolist() == [10]
+        assert np.array_equal(lat[valid], np.full(31, -0.5))
+
     def test_source_distance_tie_goes_to_lowest_segment(self):
         samples, W, _ = _TIE
         center = column_longitudes(W)[4]
@@ -319,6 +355,58 @@ class TestResampleToColumns:
         assert center == 0.0 and dist[1] == dist[2] < dist[0] == dist[3]
         lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR)
         assert valid[4] and lat[4] == -0.75         # segment 1, not -0.55
+
+
+_TWO_PI = 2.0 * math.pi
+_PI_FLOATS = st.floats(-math.pi, math.pi)
+
+
+def assert_wrap_matches_remainder(x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    got = reprojection._wrap_two_pi(x)
+    ref = np.remainder(x, _TWO_PI)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+class TestWrapTwoPi:
+    def test_special_values(self):
+        # Neighbours outside the domain [-2*pi, 4*pi) are dropped.
+        anchors = [0.0, -0.0, math.pi, -math.pi, _TWO_PI, -_TWO_PI,
+                   3 * math.pi, 2 * _TWO_PI]
+        values = []
+        for a in anchors:
+            values += [a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf)]
+        values = [v for v in values if -_TWO_PI <= v < 2 * _TWO_PI]
+        assert_wrap_matches_remainder(values)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-_TWO_PI, 2 * _TWO_PI, exclude_max=True))
+    def test_stated_domain(self, x):
+        assert_wrap_matches_remainder(x)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_PI_FLOATS, _PI_FLOATS)
+    def test_segment_delta_site(self, lon, lon_b):
+        # (lon_b - lon) + pi for sample longitudes in [-pi, pi].
+        assert_wrap_matches_remainder(np.float64(lon_b) - lon + math.pi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from((-1.0, 1.0)), st.integers(1, 4096), st.data())
+    def test_arc_offset_site(self, sgn, W, data):
+        # sgn * (center - lon) for a column center and a sample longitude.
+        c = data.draw(st.integers(0, W - 1))
+        lon = data.draw(_PI_FLOATS)
+        center = column_longitudes(W)[c]
+        assert_wrap_matches_remainder(sgn * (center - np.float64(lon)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 4096), st.integers(1, 4096), st.data())
+    def test_source_distance_site(self, n, W, data):
+        # (source column longitude - center) + pi for two column grids.
+        src = column_longitudes(n)[data.draw(st.integers(0, n - 1))]
+        center = column_longitudes(W)[data.draw(st.integers(0, W - 1))]
+        assert_wrap_matches_remainder(src - center + math.pi)
 
 
 class TestBuildStack:
@@ -446,7 +534,7 @@ class TestBuildStacks:
                 valid = np.empty((1024, len(polys)), dtype=bool)
                 contested = 0
                 for i, poly in enumerate(polys):
-                    samples = world_to_boundary_samples(poly, f.pose)
+                    samples = reference_world_to_boundary_samples(poly, f.pose)
                     lat[:, i], valid[:, i], _ = \
                         reference_resample_to_columns(samples, 1024)
                     contested += reference_gap_valid_crossings(samples, 1024) \
