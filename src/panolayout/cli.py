@@ -21,6 +21,7 @@ from .geometry import BoundaryKind
 from .reprojection import build_stack, build_stacks
 
 _ROOMS = ("square", "lshape", "ngon")
+_TRAIN = selftrain.TrainConfig()  # refine and pseudo-label flag defaults
 
 
 def _load(args):
@@ -67,6 +68,7 @@ def cmd_pseudo_label(args) -> int:
     scene = _load(args)
     kind = _kind(args.kind)
     contributors = selftrain.select_views(scene.view_ids, args.view_fraction)
+    pseudolabel.check_fusion(args.estimator, args.sigma_floor)
     labels = {s.target_view: pseudolabel.fuse(s, args.estimator, args.sigma_floor)
               for s in build_stacks(scene, kind, contributors)}
     scene.pseudo_labels = labels
@@ -112,12 +114,12 @@ def cmd_refine(args) -> int:
     if args.grid[0] != args.grid[1]:
         raise ValueError(f"refine needs a square entropy grid, got --grid "
                          f"{args.grid[0]} {args.grid[1]}")
-    scene = _load(args)
     cfg = selftrain.TrainConfig(
         max_iters=args.iters, damping=args.damping, estimator=args.estimator,
         loss=args.loss, sigma_floor=args.sigma_floor,
         view_fraction=args.view_fraction, eval_every=args.eval_every,
         grid_size=args.grid[0], padding=args.padding)
+    scene = _load(args)
     trajectory, best = selftrain.run(scene, cfg)
     sceneio.write_trajectory_csv(trajectory.records, args.out_traj)
     sceneio.save_scene(best, args.out_scene)
@@ -137,13 +139,22 @@ def _add_scene_arg(p):
                    help="boundaries in the scene file are pixel rows, not radians")
 
 
-def _add_grid_args(p):
-    p.add_argument("--grid", nargs=2, type=int, default=[512, 512],
+def _add_grid_args(p, floor_only: bool = False):
+    p.add_argument("--grid", nargs=2, type=int,
+                   default=[consistency.GRID_SIZE_DEFAULT] * 2,
                    metavar=("U", "V"), help="density grid size")
-    p.add_argument("--padding", type=float, default=0.05,
+    p.add_argument("--padding", type=float, default=consistency.PADDING_DEFAULT,
                    help="bounding-box padding fraction")
-    p.add_argument("--floor-only", action="store_true",
-                   help="use floor boundaries only")
+    if floor_only:
+        p.add_argument("--floor-only", action="store_true",
+                       help="use floor boundaries only")
+
+
+def _add_fusion_args(p):
+    p.add_argument("--estimator", choices=pseudolabel.ESTIMATORS,
+                   default=_TRAIN.estimator)
+    p.add_argument("--sigma-floor", type=float, default=_TRAIN.sigma_floor)
+    p.add_argument("--view-fraction", type=float, default=_TRAIN.view_fraction)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,10 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pseudo-label", help="fuse pseudo-labels for every view")
     _add_scene_arg(p)
-    p.add_argument("--estimator", choices=pseudolabel.ESTIMATORS, default="median")
-    p.add_argument("--sigma-floor", type=float,
-                   default=pseudolabel.SIGMA_FLOOR_DEFAULT)
-    p.add_argument("--view-fraction", type=float, default=1.0)
+    _add_fusion_args(p)
     p.add_argument("--kind", choices=("floor", "ceiling"), default="floor")
     p.add_argument("--out", required=True, help="scene JSON with pseudo_labels")
     p.add_argument("--out-csv", default=None,
@@ -192,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metric", help="print the multi-view consistency entropy")
     _add_scene_arg(p)
-    _add_grid_args(p)
+    _add_grid_args(p, floor_only=True)
     p.add_argument("--out-map", default=None, help="density map PGM path")
     p.add_argument("--out", default=None, help="occupied-cell CSV path")
     p.set_defaults(func=cmd_metric)
@@ -206,24 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("refine", help="consensus self-training with early stopping")
     _add_scene_arg(p)
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--lambda", dest="damping", type=float, default=0.5)
-    p.add_argument("--loss", choices=selftrain.LOSSES, default="wbc")
-    p.add_argument("--estimator", choices=pseudolabel.ESTIMATORS, default="median")
-    p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--sigma-floor", type=float,
-                   default=pseudolabel.SIGMA_FLOOR_DEFAULT)
-    p.add_argument("--view-fraction", type=float, default=1.0)
-    p.add_argument("--grid", nargs=2, type=int, default=[512, 512],
-                   metavar=("U", "V"))
-    p.add_argument("--padding", type=float, default=0.05)
+    p.add_argument("--iters", type=int, default=_TRAIN.max_iters)
+    p.add_argument("--lambda", dest="damping", type=float, default=_TRAIN.damping)
+    p.add_argument("--loss", choices=selftrain.LOSSES, default=_TRAIN.loss)
+    p.add_argument("--eval-every", type=int, default=_TRAIN.eval_every)
+    _add_fusion_args(p)
+    _add_grid_args(p)
     p.add_argument("--out-traj", required=True, help="trajectory CSV path")
     p.add_argument("--out-scene", required=True, help="best snapshot JSON path")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("render-density", help="write the density map as PGM")
     _add_scene_arg(p)
-    _add_grid_args(p)
+    _add_grid_args(p, floor_only=True)
     p.add_argument("--out", required=True, help="PGM path")
     p.set_defaults(func=cmd_render_density)
 

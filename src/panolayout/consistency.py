@@ -69,6 +69,14 @@ def union_bounds(*bounds):
             float(b[:, 2].min()), float(b[:, 3].max()))
 
 
+def check_grid(U: int, V: int, padding: float) -> None:
+    """Raise ValueError unless density_map accepts this grid and padding."""
+    if U < 2 or V < 2:
+        raise ValueError("grid must be at least 2x2")
+    if not (math.isfinite(padding) and padding >= 0.0):
+        raise ValueError(f"padding must be finite and >= 0, got {padding!r}")
+
+
 def density_map(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,
                 V: int = GRID_SIZE_DEFAULT, padding: float = PADDING_DEFAULT,
                 bounds=None) -> DensityGrid:
@@ -80,10 +88,7 @@ def density_map(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,
     contribute; restrict the input list for floor-only maps. A degenerate
     (single-point) extent collapses into one occupied cell.
     """
-    if U < 2 or V < 2:
-        raise ValueError("grid must be at least 2x2")
-    if not (math.isfinite(padding) and padding >= 0.0):
-        raise ValueError(f"padding must be finite and >= 0, got {padding!r}")
+    check_grid(U, V, padding)
     if not polylines:
         raise ValueError("need at least one polyline")
     pts = np.concatenate([p.points for p in polylines], axis=0)

@@ -300,16 +300,26 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray,
     return float(np.sqrt(mse)), float(np.count_nonzero(close) / close.size)
 
 
+def view_ious(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
+              raster: int = RASTER_DEFAULT) -> tuple[float, float | None]:
+    """(iou2d, iou3d) of one view's footprints; iou3d is None unless both
+    sides have a ceiling boundary."""
+    poly_p = floor_polygon(pred_floor, pose)
+    poly_g = floor_polygon(gt_floor, pose)
+    heights_p = heights_g = None
+    if pred_ceil is not None and gt_ceil is not None:
+        hf = pose.floor_height
+        heights_p = (hf, ceiling_height(pred_floor, pred_ceil, hf))
+        heights_g = (hf, ceiling_height(gt_floor, gt_ceil, hf))
+    return footprint_ious(poly_p, heights_p, poly_g, heights_g, raster)
+
+
 def evaluate_view(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
                   H: int, raster: int = RASTER_DEFAULT) -> dict:
     """All four metrics for one view's predicted vs ground-truth boundaries."""
-    poly_p = floor_polygon(pred_floor, pose)
-    poly_g = floor_polygon(gt_floor, pose)
-    hf = pose.floor_height
-    heights_p = (hf, ceiling_height(pred_floor, pred_ceil, hf))
-    heights_g = (hf, ceiling_height(gt_floor, gt_ceil, hf))
+    iou_2d, iou_3d = view_ious(pred_floor, pred_ceil, gt_floor, gt_ceil, pose,
+                               raster)
     rmse, delta1 = _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H)
-    iou_2d, iou_3d = footprint_ious(poly_p, heights_p, poly_g, heights_g, raster)
     return {"iou2d": iou_2d, "iou3d": iou_3d, "rmse": rmse, "delta1": delta1}
 
 
@@ -328,11 +338,9 @@ def evaluate_scene(scene: Scene, raster: int = RASTER_DEFAULT) -> LayoutEvalRepo
         if f.boundary_ceiling is None or gt_ceil is None:
             raise ValueError(
                 f"view {f.view_id!r}: evaluation needs ceiling boundaries")
-        row = evaluate_view(f.boundary_floor, f.boundary_ceiling,
-                            gt[BoundaryKind.FLOOR], gt_ceil, f.pose,
-                            scene.image_height, raster)
-        row["view_id"] = f.view_id
-        per_view.append(row)
+        per_view.append({"view_id": f.view_id, **evaluate_view(
+            f.boundary_floor, f.boundary_ceiling, gt[BoundaryKind.FLOOR],
+            gt_ceil, f.pose, scene.image_height, raster)})
     return LayoutEvalReport(
         iou2d=float(np.mean([r["iou2d"] for r in per_view])),
         iou3d=float(np.mean([r["iou3d"] for r in per_view])),

@@ -31,6 +31,15 @@ class PseudoLabel:
         return self.lat_bar.shape[0]
 
 
+def check_fusion(estimator: str, sigma_floor: float) -> None:
+    """Raise ValueError unless fuse accepts this estimator and sigma floor."""
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+    if not (0.0 < sigma_floor < math.inf):
+        raise ValueError(f"sigma_floor must be positive and finite, "
+                         f"got {sigma_floor!r}")
+
+
 def fuse(stack: BoundaryStack, estimator: str = "median",
          sigma_floor: float = SIGMA_FLOOR_DEFAULT) -> PseudoLabel:
     """Per-column median (or mean) and population std over valid entries.
@@ -40,11 +49,7 @@ def fuse(stack: BoundaryStack, estimator: str = "median",
     single valid entry have zero spread, and the floor keeps the weighted
     loss finite).
     """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if not (0.0 < sigma_floor < math.inf):
-        raise ValueError(f"sigma_floor must be positive and finite, "
-                         f"got {sigma_floor!r}")
+    check_fusion(estimator, sigma_floor)
     lat = np.where(stack.valid, stack.lat, np.nan)
     support = stack.valid.sum(axis=1)
     # Reductions run over value-sorted entries (NaNs last), which makes the

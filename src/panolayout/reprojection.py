@@ -224,15 +224,19 @@ def build_stacks(scene: Scene, kind: BoundaryKind,
                  targets: list[str] | None = None) -> list[BoundaryStack]:
     """Stacks for every target (default: all views, in frame order).
 
-    Each selected source view is lifted to world coordinates once and then
-    re-projected into every target, which is the N x N step of 360-MLC.
+    Each selected source view is lifted to world coordinates once, the lifts
+    are merged into one polyline, and that is re-projected into every
+    target, which is the N x N step of 360-MLC.
     """
     W = scene.image_width
     dst = scene.frames if targets is None else [scene.frame(t) for t in targets]
     polys = scene.world_polylines((kind,), view_ids)
     if not polys:
         raise ValueError(f"no view carries a {kind.value} boundary")
-    return [_stack_from_polylines(polys, f.pose, f.view_id, kind, W) for f in dst]
+    merged = WorldPolyline(np.concatenate([p.points for p in polys]), "", kind)
+    sources = [p.source_view for p in polys]
+    return [_stack_from_polylines(merged, sources, f.pose, f.view_id, kind, W)
+            for f in dst]
 
 
 def build_stack(scene: Scene, target: str, kind: BoundaryKind,
@@ -247,17 +251,16 @@ def build_stack(scene: Scene, target: str, kind: BoundaryKind,
     return build_stacks(scene, kind, view_ids, [target])[0]
 
 
-def _stack_from_polylines(polys: list[WorldPolyline], dst_pose: CameraPose,
-                          target: str, kind: BoundaryKind,
+def _stack_from_polylines(merged: WorldPolyline, sources: list[str],
+                          dst_pose: CameraPose, target: str, kind: BoundaryKind,
                           W: int) -> BoundaryStack:
-    """Stack assembly for one target from already lifted source polylines.
+    """Stack assembly for one target from the merged lifts of its sources.
 
-    All sources go through one world-to-sphere transform and one kernel call;
-    one contested-crossing count is logged per target.
+    merged holds W points per source, in the order of sources. They go
+    through one world-to-sphere transform and one kernel call; one
+    contested-crossing count is logged per target.
     """
-    n = len(polys)
-    merged = WorldPolyline(np.concatenate([p.points for p in polys]), target, kind)
-    samples = world_to_boundary_samples(merged, dst_pose).reshape(n, W, 2)
+    samples = world_to_boundary_samples(merged, dst_pose).reshape(len(sources), W, 2)
     lat, valid, n_contested = _resample_batch(samples, W,
                                               DEFAULT_GAP_FACTOR * _TWO_PI / W)
     if n_contested:
@@ -277,4 +280,4 @@ def _stack_from_polylines(polys: list[WorldPolyline], dst_pose: CameraPose,
         raise CoverageError(
             f"target {target!r}: no valid {kind.value} entries for columns "
             f"{head}{more}")
-    return BoundaryStack(target, lat, valid, kind, [p.source_view for p in polys])
+    return BoundaryStack(target, lat, valid, kind, list(sources))

@@ -8,6 +8,7 @@ follow RFC 4180 (CRLF line endings, header row).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -318,79 +319,55 @@ def load_scene(path, pixel_rows: bool = False) -> Scene:
     return document_to_scene(doc, pixel_rows=pixel_rows)
 
 
-def _open_csv(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _optional_float(x) -> str:
+    return "" if x is None else format_float(x)
 
 
 def write_stack_csv(stack: BoundaryStack, path) -> None:
     """Stack dump: one row per (column, view) with lat and validity."""
-    with _open_csv(path) as f:
-        w = csv.writer(f)
-        w.writerow(["column", "view", "lat", "valid"])
-        for theta in range(stack.width):
-            for i, vid in enumerate(stack.view_ids):
-                lat = stack.lat[theta, i]
-                w.writerow([theta, vid,
-                            "" if np.isnan(lat) else format_float(float(lat)),
-                            int(stack.valid[theta, i])])
+    _write_csv(path, ["column", "view", "lat", "valid"], (
+        [theta, vid, "" if np.isnan(lat) else format_float(float(lat)), int(ok)]
+        for theta in range(stack.width)
+        for vid, lat, ok in zip(stack.view_ids, stack.lat[theta], stack.valid[theta])))
 
 
 def write_pseudolabel_csv(pl: PseudoLabel, path) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f)
-        w.writerow(["column", "lat_bar", "sigma", "support"])
-        for i in range(pl.width):
-            w.writerow([i, format_float(float(pl.lat_bar[i])),
-                        format_float(float(pl.sigma[i])), int(pl.support[i])])
+    _write_csv(path, ["column", "lat_bar", "sigma", "support"], (
+        [i, format_float(float(pl.lat_bar[i])), format_float(float(pl.sigma[i])),
+         int(pl.support[i])] for i in range(pl.width)))
 
 
 def write_trajectory_csv(records, path) -> None:
-    with _open_csv(path) as f:
-        w = csv.writer(f)
-        w.writerow(["iter", "h_mlc", "wbc", "l1", "iou2d", "iou3d"])
-        for r in records:
-            w.writerow([
-                r.iteration,
-                "" if r.h_mlc is None else format_float(r.h_mlc),
-                format_float(r.wbc), format_float(r.l1),
-                "" if r.iou2d is None else format_float(r.iou2d),
-                "" if r.iou3d is None else format_float(r.iou3d),
-            ])
+    _write_csv(path, ["iter", "h_mlc", "wbc", "l1", "iou2d", "iou3d"], (
+        [r.iteration, _optional_float(r.h_mlc), format_float(r.wbc),
+         format_float(r.l1), _optional_float(r.iou2d), _optional_float(r.iou3d)]
+        for r in records))
 
 
 def write_density_csv(cells: np.ndarray, path) -> None:
     """Occupied density cells as (u, v, phi) rows."""
-    with _open_csv(path) as f:
-        w = csv.writer(f)
-        w.writerow(["u", "v", "phi"])
-        for u, v, phi in cells:
-            w.writerow([int(u), int(v), format_float(float(phi))])
+    _write_csv(path, ["u", "v", "phi"], (
+        [int(u), int(v), format_float(float(phi))] for u, v, phi in cells))
 
 
 def write_report_csv(report, path) -> None:
     """One metric row per evaluated view."""
-    with _open_csv(path) as f:
-        w = csv.writer(f)
-        w.writerow(["view_id", "iou2d", "iou3d", "rmse", "delta1"])
-        for r in report.per_view:
-            w.writerow([r["view_id"], format_float(float(r["iou2d"])),
-                        format_float(float(r["iou3d"])),
-                        format_float(float(r["rmse"])),
-                        format_float(float(r["delta1"]))])
+    keys = ("iou2d", "iou3d", "rmse", "delta1")
+    _write_csv(path, ["view_id", *keys], (
+        [r["view_id"], *(format_float(float(r[k])) for k in keys)]
+        for r in report.per_view))
 
 
 def write_report_json(report, path) -> None:
-    doc = {
-        "iou2d": float(report.iou2d), "iou3d": float(report.iou3d),
-        "rmse": float(report.rmse), "delta1": float(report.delta1),
-        "per_view": [{
-            "view_id": r["view_id"], "iou2d": float(r["iou2d"]),
-            "iou3d": float(r["iou3d"]), "rmse": float(r["rmse"]),
-            "delta1": float(r["delta1"]),
-        } for r in report.per_view],
-    }
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(dumps_document(doc))
+        f.write(dumps_document(dataclasses.asdict(report)))
 
 
 def boundary_to_rows(b: SphericalBoundary, H: int) -> np.ndarray:

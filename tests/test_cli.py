@@ -289,6 +289,35 @@ class TestErrorHandling:
         assert "control characters" in err["error"]["message"]
         assert not any(p.exists() for p in outs)
 
+    @pytest.mark.parametrize("command,flags,word", [
+        ("refine", ["--grid", "1", "1"], "grid"),
+        ("refine", ["--padding", "-1"], "padding"),
+        ("refine", ["--sigma-floor", "0"], "sigma_floor"),
+        ("pseudo-label", ["--sigma-floor", "inf"], "sigma_floor"),
+    ])
+    def test_bad_flags_rejected_before_any_stack(self, scene_path, tmp_path,
+                                                  capsys, monkeypatch,
+                                                  command, flags, word):
+        from panolayout import cli, reprojection, selftrain
+        calls = []
+        real = reprojection.build_stacks
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (cli, reprojection, selftrain):
+            monkeypatch.setattr(module, "build_stacks", counting)
+        out = tmp_path / "out"
+        argv = {"refine": ["--iters", "1", "--out-traj", str(out),
+                           "--out-scene", str(tmp_path / "best.json")],
+                "pseudo-label": ["--out", str(out)]}[command]
+        assert cli.main([command, "--scene", str(scene_path), *flags, *argv]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert word in err["error"]["message"]
+        assert calls == []
+        assert not out.exists()
+
 
 def _drop_gt_floor(doc):
     del doc["ground_truth"][0]["boundary_floor"]

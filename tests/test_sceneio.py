@@ -10,9 +10,11 @@ from panolayout import cli
 from panolayout.errors import SceneFormatError
 from panolayout.geometry import BoundaryKind
 from panolayout.pseudolabel import PseudoLabel
+from panolayout.reprojection import BoundaryStack
 from panolayout.sceneio import boundary_to_rows, document_to_scene, dumps_document, \
-    format_float, load_scene, save_scene, scene_to_document, write_pseudolabel_csv, \
-    write_stack_csv, write_trajectory_csv
+    format_float, load_scene, save_scene, scene_to_document, write_density_csv, \
+    write_pseudolabel_csv, write_report_csv, write_report_json, write_stack_csv, \
+    write_trajectory_csv
 from panolayout.selftrain import IterationRecord
 from panolayout.synth import generate_scene, square_room
 
@@ -299,3 +301,139 @@ class TestCsvWriters:
         assert rows[0] == ["iter", "h_mlc", "wbc", "l1", "iou2d", "iou3d"]
         assert rows[1] == ["0", "7.25", "1.5", "2.5", "0.875", "0.75"]
         assert rows[2] == ["1", "", "1", "2", "", ""]
+
+
+# The former table and report writers, kept verbatim as byte oracles for the
+# ones built on one CSV helper and on dataclasses.asdict.
+def _open_csv(path):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def reference_write_stack_csv(stack: BoundaryStack, path) -> None:
+    """Stack dump: one row per (column, view) with lat and validity."""
+    with _open_csv(path) as f:
+        w = csv.writer(f)
+        w.writerow(["column", "view", "lat", "valid"])
+        for theta in range(stack.width):
+            for i, vid in enumerate(stack.view_ids):
+                lat = stack.lat[theta, i]
+                w.writerow([theta, vid,
+                            "" if np.isnan(lat) else format_float(float(lat)),
+                            int(stack.valid[theta, i])])
+
+
+def reference_write_pseudolabel_csv(pl: PseudoLabel, path) -> None:
+    with _open_csv(path) as f:
+        w = csv.writer(f)
+        w.writerow(["column", "lat_bar", "sigma", "support"])
+        for i in range(pl.width):
+            w.writerow([i, format_float(float(pl.lat_bar[i])),
+                        format_float(float(pl.sigma[i])), int(pl.support[i])])
+
+
+def reference_write_trajectory_csv(records, path) -> None:
+    with _open_csv(path) as f:
+        w = csv.writer(f)
+        w.writerow(["iter", "h_mlc", "wbc", "l1", "iou2d", "iou3d"])
+        for r in records:
+            w.writerow([
+                r.iteration,
+                "" if r.h_mlc is None else format_float(r.h_mlc),
+                format_float(r.wbc), format_float(r.l1),
+                "" if r.iou2d is None else format_float(r.iou2d),
+                "" if r.iou3d is None else format_float(r.iou3d),
+            ])
+
+
+def reference_write_density_csv(cells: np.ndarray, path) -> None:
+    """Occupied density cells as (u, v, phi) rows."""
+    with _open_csv(path) as f:
+        w = csv.writer(f)
+        w.writerow(["u", "v", "phi"])
+        for u, v, phi in cells:
+            w.writerow([int(u), int(v), format_float(float(phi))])
+
+
+def reference_write_report_csv(report, path) -> None:
+    """One metric row per evaluated view."""
+    with _open_csv(path) as f:
+        w = csv.writer(f)
+        w.writerow(["view_id", "iou2d", "iou3d", "rmse", "delta1"])
+        for r in report.per_view:
+            w.writerow([r["view_id"], format_float(float(r["iou2d"])),
+                        format_float(float(r["iou3d"])),
+                        format_float(float(r["rmse"])),
+                        format_float(float(r["delta1"]))])
+
+
+def reference_write_report_json(report, path) -> None:
+    doc = {
+        "iou2d": float(report.iou2d), "iou3d": float(report.iou3d),
+        "rmse": float(report.rmse), "delta1": float(report.delta1),
+        "per_view": [{
+            "view_id": r["view_id"], "iou2d": float(r["iou2d"]),
+            "iou3d": float(r["iou3d"]), "rmse": float(r["rmse"]),
+            "delta1": float(r["delta1"]),
+        } for r in report.per_view],
+    }
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(dumps_document(doc))
+
+
+class TestWritersAgainstReference:
+    def same_bytes(self, tmp_path, writer, reference, obj):
+        ours, ref = tmp_path / "ours", tmp_path / "ref"
+        writer(obj, ours)
+        reference(obj, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_stack_with_nan_entries(self, tmp_path):
+        lat = np.array([[-0.5, np.nan, -0.25], [np.nan, np.nan, -1e-300],
+                        [-0.0, -0.1, np.nan]])
+        stack = BoundaryStack("b", lat, ~np.isnan(lat), BoundaryKind.FLOOR,
+                              ["a", "b", "c,d"])
+        self.same_bytes(tmp_path, write_stack_csv, reference_write_stack_csv, stack)
+
+    def test_real_stack(self, tmp_path):
+        from panolayout.reprojection import build_stack
+        from panolayout.synth import NoiseSpec, lshape_room, perturb
+        scene = perturb(generate_scene(lshape_room(), 4, 64, seed=2),
+                        NoiseSpec(boundary_std=0.05, seed=3))
+        stack = build_stack(scene, scene.view_ids[1], BoundaryKind.CEILING)
+        self.same_bytes(tmp_path, write_stack_csv, reference_write_stack_csv, stack)
+
+    def test_trajectory_with_none_fields(self, tmp_path):
+        recs = [IterationRecord(0, 1.5, 2.5, h_mlc=7.25, iou2d=0.875, iou3d=0.75),
+                IterationRecord(1, 0.1, 1e-17),
+                IterationRecord(2, 0.0, -0.0, h_mlc=6.5, iou2d=1 / 3),
+                IterationRecord(3, 2.0, 3.0, h_mlc=6.0)]
+        self.same_bytes(tmp_path, write_trajectory_csv,
+                        reference_write_trajectory_csv, recs)
+
+    def test_density_cells(self, tmp_path):
+        from panolayout.consistency import density_map, occupied_cells
+        scene = generate_scene(square_room(4.0), 3, 64, seed=1)
+        cells = occupied_cells(density_map(scene.world_polylines(), 64, 64))
+        self.same_bytes(tmp_path, write_density_csv, reference_write_density_csv, cells)
+
+    def test_pseudolabel(self, tmp_path):
+        from panolayout.pseudolabel import fuse
+        from panolayout.reprojection import build_stack
+        from panolayout.synth import NoiseSpec, perturb
+        scene = perturb(generate_scene(square_room(4.0), 4, 64, seed=5),
+                        NoiseSpec(boundary_std=0.03, seed=6))
+        pl = fuse(build_stack(scene, scene.view_ids[0], BoundaryKind.FLOOR))
+        self.same_bytes(tmp_path, write_pseudolabel_csv,
+                        reference_write_pseudolabel_csv, pl)
+
+    def test_evaluate_report(self, tmp_path):
+        from panolayout.evaluation import evaluate_scene
+        from panolayout.synth import NoiseSpec, perturb
+        clean = generate_scene(square_room(4.0), 3, 64, seed=7)
+        noisy = perturb(clean, NoiseSpec(boundary_std=0.03, seed=8))
+        for scene in (clean, noisy):
+            report = evaluate_scene(scene, raster=128)
+            self.same_bytes(tmp_path, write_report_json,
+                            reference_write_report_json, report)
+            self.same_bytes(tmp_path, write_report_csv,
+                            reference_write_report_csv, report)

@@ -1,12 +1,18 @@
+import itertools
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 
+from panolayout import selftrain
 from panolayout.consistency import data_bounds, density_map, mlc_entropy
-from panolayout.evaluation import floor_polygon, iou2d
-from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary
+from panolayout.evaluation import floor_polygon, footprint_ious, iou2d
+from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
+    ceiling_height
 from panolayout.scene import Scene, ViewFrame
-from panolayout.selftrain import TrainConfig, run, select_views, self_train_step
+from panolayout.selftrain import IterationRecord, TrainConfig, TrainTrajectory, \
+    _fuse_all, _step_losses, run, select_views, self_train_step
 from panolayout.synth import NoiseSpec, generate_scene, perturb, square_room
 
 from conftest import coaxial_cylinder_scene
@@ -186,3 +192,120 @@ class TestRun:
                                half.frame(v).boundary_floor.lat)
             for v in noisy.view_ids)
         assert changed
+
+
+# The former _mean_iou and run, kept verbatim as the oracle for the flat run:
+# closures, a snapshot per evaluated iteration and a separate final pass.
+_TRAJECTORY_IOU_RASTER = 512
+
+
+def _mean_iou(scene: Scene) -> tuple[float, float]:
+    vals = []
+    for f in scene.frames:
+        gt = scene.view_ground_truth(f.view_id)
+        gt_f, gt_c = gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING)
+        poly_p = floor_polygon(f.boundary_floor, f.pose)
+        poly_g = floor_polygon(gt_f, f.pose)
+        heights_p = heights_g = None
+        if f.boundary_ceiling is not None and gt_c is not None:
+            hf = f.pose.floor_height
+            heights_p = (hf, ceiling_height(f.boundary_floor, f.boundary_ceiling, hf))
+            heights_g = (hf, ceiling_height(gt_f, gt_c, hf))
+        vals.append(footprint_ious(poly_p, heights_p, poly_g, heights_g,
+                                   _TRAJECTORY_IOU_RASTER))
+    vals3 = [v3 for _, v3 in vals if v3 is not None]
+    iou_2d = float(np.mean([v2 for v2, _ in vals]))
+    return iou_2d, (float(np.mean(vals3)) if vals3 else None)
+
+
+def reference_run(scene: Scene, cfg: TrainConfig):
+    """Refine for max_iters steps with entropy-based early stopping.
+
+    Returns (TrainTrajectory, best scene). The entropy grid bounds are
+    frozen at iteration zero; the snapshot returned is the one recorded at
+    the entropy minimum (ties go to the earliest iteration).
+    """
+    frozen_bounds = data_bounds(scene.world_polylines())
+    track_iou = scene.ground_truth is not None
+
+    def entropy_of(s: Scene) -> float:
+        grid = density_map(s.world_polylines(), cfg.grid_size, cfg.grid_size,
+                           cfg.padding, bounds=frozen_bounds)
+        return mlc_entropy(grid)
+
+    records: list[IterationRecord] = []
+    snapshots: dict[int, Scene] = {}
+    state = scene
+    best_iter, best_h = 0, math.inf
+
+    def record(iteration: int, losses, evaluated: bool) -> None:
+        nonlocal best_iter, best_h
+        rec = IterationRecord(iteration, losses[0], losses[1])
+        if evaluated:
+            rec.h_mlc = entropy_of(state)
+            if track_iou:
+                rec.iou2d, rec.iou3d = _mean_iou(state)
+            snapshots[iteration] = state
+            if rec.h_mlc < best_h:
+                best_h, best_iter = rec.h_mlc, iteration
+        records.append(rec)
+
+    for k in range(cfg.max_iters):
+        next_state, losses = self_train_step(state, cfg)
+        record(k, losses, evaluated=k % cfg.eval_every == 0)
+        state = next_state
+    # Final state needs one label pass of its own for the loss record.
+    final_labels = _fuse_all(state, cfg)
+    record(cfg.max_iters, _step_losses(state, final_labels), evaluated=True)
+
+    return TrainTrajectory(records, best_iter), snapshots[best_iter]
+
+
+def _run_variants():
+    """A noisy square room with and without ceilings and ground truth."""
+    noisy = perturb(generate_scene(square_room(4.0), 4, 64, seed=3),
+                    NoiseSpec(boundary_std=0.03, seed=4))
+    floors = Scene([ViewFrame(f.view_id, f.pose, f.boundary_floor)
+                    for f in noisy.frames], noisy.image_width, noisy.image_height,
+                   {v: {BoundaryKind.FLOOR: gt[BoundaryKind.FLOOR]}
+                    for v, gt in noisy.ground_truth.items()})
+    return {(ceil, gt): s if gt else replace(s, ground_truth=None)
+            for ceil, s in ((True, noisy), (False, floors)) for gt in (True, False)}
+
+
+_VARIANTS = _run_variants()
+
+
+def _bits(records):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(r))
+            for r in records]
+
+
+class TestRunAgainstReference:
+    @pytest.mark.parametrize("max_iters,eval_every,loss,ceilings,gt", list(
+        itertools.product((0, 1, 3), (1, 2, 4), ("wbc", "l1"), (True, False),
+                          (True, False))))
+    def test_same_records_and_best_state(self, max_iters, eval_every, loss,
+                                         ceilings, gt):
+        scene = _VARIANTS[ceilings, gt]
+        cfg = TrainConfig(max_iters=max_iters, eval_every=eval_every, loss=loss,
+                          grid_size=128)
+        ref_traj, ref_best = reference_run(scene, cfg)
+        traj, best = run(scene, cfg)
+        assert _bits(traj.records) == _bits(ref_traj.records)
+        assert traj.best_iter == ref_traj.best_iter
+        for f_ref, f in zip(ref_best.frames, best.frames):
+            assert np.array_equal(f.boundary_floor.lat, f_ref.boundary_floor.lat)
+            assert (f.boundary_ceiling is None) == (f_ref.boundary_ceiling is None)
+            if f.boundary_ceiling is not None:
+                assert np.array_equal(f.boundary_ceiling.lat,
+                                      f_ref.boundary_ceiling.lat)
+
+    def test_entropy_tie_goes_to_iteration_zero(self, monkeypatch):
+        monkeypatch.setattr(selftrain, "mlc_entropy", lambda grid: 1.0)
+        scene = _VARIANTS[True, True]
+        traj, best = run(scene, TrainConfig(max_iters=3, grid_size=128))
+        assert traj.best_iter == 0
+        assert [r.h_mlc for r in traj.records] == [1.0] * 4
+        for f0, f1 in zip(scene.frames, best.frames):
+            assert np.array_equal(f0.boundary_floor.lat, f1.boundary_floor.lat)
