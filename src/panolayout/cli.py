@@ -2,9 +2,9 @@
 refine, render-density.
 
 Exit codes: 0 success, 2 usage error, 3 scene format/validation error,
-4 numeric or degenerate-geometry error. Failures emit a machine-readable
-JSON object on stderr. All subcommands are deterministic given their flags
-and seeds.
+4 numeric or degenerate-geometry error. Every failure, usage errors too,
+ends in a machine-readable JSON object as the last stderr line. All
+subcommands are deterministic given their flags and seeds.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ _TRAIN = selftrain.TrainConfig()  # refine and pseudo-label flag defaults
 
 def _load(args):
     return sceneio.load_scene(args.scene, pixel_rows=args.pixel_rows)
-
-
-def _kind(name: str) -> BoundaryKind:
-    return BoundaryKind(name)
 
 
 def cmd_synth(args) -> int:
@@ -59,14 +55,14 @@ def cmd_reproject(args) -> int:
     scene = _load(args)
     if args.target not in scene.view_ids:
         raise ValueError(f"target view {args.target!r} not in scene")
-    stack = build_stack(scene, args.target, _kind(args.kind))
+    stack = build_stack(scene, args.target, BoundaryKind(args.kind))
     sceneio.write_stack_csv(stack, args.out)
     return 0
 
 
 def cmd_pseudo_label(args) -> int:
     scene = _load(args)
-    kind = _kind(args.kind)
+    kind = BoundaryKind(args.kind)
     contributors = selftrain.select_views(scene.view_ids, args.view_fraction)
     pseudolabel.check_fusion(args.estimator, args.sigma_floor)
     labels = {s.target_view: pseudolabel.fuse(s, args.estimator, args.sigma_floor)
@@ -157,8 +153,15 @@ def _add_fusion_args(p):
     p.add_argument("--view-fraction", type=float, default=_TRAIN.view_fraction)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a JSON error line, as for every failure
+        self.print_usage(sys.stderr)
+        _emit_error(argparse.ArgumentError(None, message))
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="panolayout",
         description="Multi-view layout-consistency pipeline for 360 panoramas")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -240,7 +243,10 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # a usage error (2), already reported, or --help
+        return e.code
     try:
         return args.func(args)
     except SceneFormatError as e:
@@ -249,10 +255,7 @@ def main(argv=None) -> int:
     except LayoutError as e:
         _emit_error(e)
         return 4
-    except ValueError as e:
-        _emit_error(e)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         _emit_error(e)
         return 2
 

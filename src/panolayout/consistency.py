@@ -9,7 +9,6 @@ comparable between runs histogrammed on identical grid bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +70,10 @@ def union_bounds(*bounds):
 
 def check_grid(U: int, V: int, padding: float) -> None:
     """Raise ValueError unless density_map accepts this grid and padding."""
-    if U < 2 or V < 2:
-        raise ValueError("grid must be at least 2x2")
-    if not (math.isfinite(padding) and padding >= 0.0):
-        raise ValueError(f"padding must be finite and >= 0, got {padding!r}")
+    if not (2 <= U <= 4096 and 2 <= V <= 4096):  # 4096^2 cells: 134 MB a map
+        raise ValueError(f"grid sides must lie in [2, 4096], got {U}x{V}")
+    if not 0.0 <= padding <= 1e6:  # wider ones can overflow the span to inf
+        raise ValueError(f"padding must lie in [0, 1e6], got {padding!r}")
 
 
 def density_map(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,

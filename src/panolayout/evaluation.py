@@ -112,8 +112,8 @@ def _union_bounds(a: np.ndarray, b: np.ndarray):
 def footprint_ious(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
                    raster: int = RASTER_DEFAULT) -> tuple[float, float | None]:
     """(iou2d, iou3d) from one crossing pass; iou3d is None without both heights."""
-    if raster < 64:
-        raise ValueError("raster must be >= 64")
+    if not (64 <= raster <= 65536):  # work and memory grow with raster, not raster^2
+        raise ValueError(f"raster must lie in [64, 65536], got {raster}")
     with_3d = pred_heights is not None and gt_heights is not None
     if with_3d:
         (hf_a, hc_a), (hf_b, hc_b) = pred_heights, gt_heights
@@ -170,10 +170,6 @@ class _DepthRows(NamedTuple):
 
 def _depth_rows(b_floor: SphericalBoundary, b_ceil: SphericalBoundary, H: int,
                 camera_height: float) -> _DepthRows:
-    if b_floor.kind != BoundaryKind.FLOOR or b_ceil.kind != BoundaryKind.CEILING:
-        raise ValueError("expected a (floor, ceiling) boundary pair")
-    if b_floor.width != b_ceil.width:
-        raise ValueError("floor and ceiling boundaries must share W")
     h_c = ceiling_height(b_floor, b_ceil, camera_height)
     lat_rows = row_to_latitude(np.arange(H), H)
     # Row latitudes fall with the row index, so a column's ceiling rows
@@ -239,7 +235,8 @@ def _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H: int):
     if H < 1 or not all(np.all((v > 0) & (v < math.inf))
                         for r in (p, g) for v in r[2:]):
         # Rare: the map path rejects empty maps, raises for a bad depth some
-        # pixel uses and ignores one that no pixel uses.
+        # pixel uses and ignores one that no pixel uses. Loaded scenes get here
+        # when depths underflow to 0, e.g. from ceiling latitudes of 1e-322.
         return depth_metrics(layout_depth(pred_floor, pred_ceil, H),
                              layout_depth(gt_floor, gt_ceil, H))
     W = p.kc.size

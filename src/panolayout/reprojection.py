@@ -184,9 +184,6 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     centers = column_longitudes(W)[col]
     p = _wrap_two_pi(sgn[i] * (centers - lon_a[i]))
     p = np.where(p > _TWO_PI - _EPS, 0.0, p)              # rounding wrap at 0
-    ok = p <= adel[i] + _EPS
-    if not ok.all():
-        i, key, p, centers = i[ok], key[ok], p[ok], centers[ok]
     src_dist = np.abs(_wrap_two_pi(column_longitudes(n)[src_col[i]] - centers
                                    + math.pi) - math.pi)
 

@@ -99,7 +99,7 @@ class Scene:
                 for f in frames for k in kinds if f.boundary(k) is not None]
 
     def with_boundaries(self, boundaries: dict[str, dict[BoundaryKind, SphericalBoundary]]) -> "Scene":
-        """Copy of the scene with some frames' boundaries replaced."""
+        """Copy with some frames' boundaries replaced, stale pseudo-labels dropped."""
         frames = []
         for f in self.frames:
             upd = boundaries.get(f.view_id)
@@ -111,4 +111,4 @@ class Scene:
                 upd.get(BoundaryKind.FLOOR, f.boundary_floor),
                 upd.get(BoundaryKind.CEILING, f.boundary_ceiling)))
         return Scene(frames, self.image_width, self.image_height,
-                     self.ground_truth, self.pseudo_labels, dict(self.meta))
+                     self.ground_truth, None, dict(self.meta))

@@ -189,11 +189,9 @@ def _parse_rotation(values, ctx: str) -> np.ndarray:
              f"{ctx}: rotation not orthonormal within {_LOAD_ROTATION_TOL}")
     if defect > _STRICT_ROTATION_TOL:
         # Repair mildly denormalized poses; exact ones keep their bits.
+        # det(R) > 0 makes det(u) * det(vt) = +1, so u @ vt is a rotation.
         u, _, vt = np.linalg.svd(R)
         R = u @ vt
-        if np.linalg.det(R) < 0:
-            u[:, -1] = -u[:, -1]
-            R = u @ vt
         logger.warning("%s: rotation re-orthonormalized (defect %.2e)", ctx, defect)
     return R
 

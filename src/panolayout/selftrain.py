@@ -4,10 +4,11 @@ Each step re-fuses every view's boundary stack into a pseudo-label and moves
 the view's boundary toward it by a damping factor; with the uncertainty-
 weighted loss the per-column step shrinks where the views disagree. Early
 stopping picks the iteration with the lowest density-map entropy, evaluated
-on grid bounds frozen at iteration zero so values stay comparable; run keeps
-only that iteration's state, not a snapshot per evaluation. The
-trajectory's wbc is measured against each iteration's own labels, whose sigma
-shrinks as views agree, so it can rise while l1 falls: compare iterations by l1.
+on grid bounds frozen at iteration zero so values stay comparable. run steps
+every iteration, discarding the last update, and keeps only the best state,
+not a snapshot per evaluation. The trajectory's wbc is measured against each
+iteration's own labels, whose sigma shrinks as views agree, so it can rise
+while l1 falls: compare iterations by l1.
 """
 
 from __future__ import annotations
@@ -147,16 +148,14 @@ def run(scene: Scene, cfg: TrainConfig):
     Returns (TrainTrajectory, best scene). Iteration k records the losses of
     state k; evaluated iterations (every eval_every-th and the last) also
     record its entropy on grid bounds frozen at iteration zero. Only the
-    lowest-entropy state is kept (ties go to the earliest iteration).
+    lowest-entropy state is kept (ties go to the earliest iteration). A best
+    iteration of 0 returns the input scene itself, pseudo-labels included.
     """
     records: list[IterationRecord] = []
     state = best_state = scene
     best_h, best_iter, bounds = math.inf, 0, None
     for k in range(cfg.max_iters + 1):
-        if k < cfg.max_iters:
-            next_state, losses = self_train_step(state, cfg)
-        else:
-            next_state, losses = state, _step_losses(state, _fuse_all(state, cfg))
+        next_state, losses = self_train_step(state, cfg)   # the last is unused
         rec = IterationRecord(k, *losses)
         if k % cfg.eval_every == 0 or k == cfg.max_iters:
             polys = state.world_polylines()

@@ -21,6 +21,7 @@ from .errors import GeometryError
 from .geometry import BoundaryKind, CameraPose, SphericalBoundary, LAT_MIN, \
     column_longitudes, wrap_longitude
 from .scene import Scene, ViewFrame
+from .sceneio import _MAX_METERS
 
 RNG_NAME = "numpy-pcg64-seedsequence"
 
@@ -47,14 +48,14 @@ class RoomSpec:
         object.__setattr__(self, "footprint", poly)
         if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
             raise ValueError(f"footprint must be (M>=3, 2), got {poly.shape}")
-        if not np.all(np.isfinite(poly)):
-            raise ValueError("footprint must be finite")
+        if not np.all(np.abs(poly) <= _MAX_METERS):  # the loader's bound
+            raise ValueError("footprint must be finite and within 1e6 m")
         if _signed_area(poly) <= 0.0:
             raise ValueError("footprint must be counter-clockwise with area > 0")
         if _self_intersects(poly):
             raise ValueError("footprint must be a simple polygon")
-        if not (self.h_floor > 0.0 and self.h_ceil > 0.0):
-            raise ValueError("h_floor and h_ceil must be positive")
+        if not all(0.0 < h <= _MAX_METERS for h in (self.h_floor, self.h_ceil)):
+            raise ValueError("h_floor and h_ceil must lie in (0, 1e6] m")
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,9 @@ def lshape_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) ->
 
 def ngon_room(sides: int = 6, radius: float = 2.0, h_floor: float = 1.6,
               h_ceil: float = 0.9) -> RoomSpec:
-    if sides < 3:
-        raise ValueError("ngon needs >= 3 sides")
+    # The simple-polygon check takes O(sides^2); an infinite radius makes NaNs.
+    if not (3 <= sides <= 256 and abs(radius) <= _MAX_METERS):
+        raise ValueError(f"ngon needs 3-256 sides and |radius| <= 1e6 m, got {sides}")
     ang = 2.0 * math.pi * np.arange(sides) / sides
     poly = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     return RoomSpec(poly, h_floor, h_ceil)
@@ -216,10 +218,10 @@ def generate_scene(room: RoomSpec, n_views: int, W: int, seed: int) -> Scene:
     _MAX_PLACEMENT_ATTEMPTS tries per view); yaw is uniform. Deterministic
     given (room, n_views, W, seed).
     """
-    if n_views < 1:
-        raise ValueError("n_views must be >= 1")
-    if W < 8:
-        raise ValueError("W must be >= 8")
+    if not 1 <= n_views <= 1024:
+        raise ValueError(f"n_views must lie in [1, 1024], got {n_views}")
+    if not 8 <= W <= 16384:  # a 16K panorama
+        raise ValueError(f"W must lie in [8, 16384], got {W}")
     poly = room.footprint
     lo, hi = poly.min(axis=0), poly.max(axis=0)
     children = np.random.SeedSequence(seed).spawn(n_views)
@@ -252,10 +254,10 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
     """Apply i.i.d. Gaussian boundary noise, column outliers and pose noise.
 
     Boundary latitudes get N(0, boundary_std); with probability outlier_rate
-    a column is redrawn with outlier_std instead. Pose translations are
-    perturbed in the horizontal plane and yaw by pose_rot_std (the upright
-    camera assumption is kept). Ground truth and metadata pass through.
-    Deterministic given noise.seed; zero stds reproduce the scene exactly.
+    a column is redrawn with outlier_std instead. Translations move in the
+    horizontal plane (ValueError beyond 1e6 m), yaw by pose_rot_std. Ground
+    truth and metadata pass through, pseudo-labels are dropped. Deterministic
+    given noise.seed; zero stds reproduce the scene exactly.
     """
     children = np.random.SeedSequence(noise.seed).spawn(len(scene.frames))
     frames = []
@@ -281,6 +283,8 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
             Ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
             pose = replace(pose, rotation=Ry @ pose.rotation,
                            translation=pose.translation + np.array([dt[0], 0.0, dt[1]]))
+            if np.abs(pose.translation).max() > _MAX_METERS:  # the loader's bound
+                raise ValueError(f"view {f.view_id!r}: translation beyond 1e6 m")
         frames.append(ViewFrame(f.view_id, pose, new_b[BoundaryKind.FLOOR],
                                 new_b.get(BoundaryKind.CEILING)))
     meta = dict(scene.meta)
@@ -290,4 +294,4 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
         "pose_rot_std": noise.pose_rot_std, "seed": int(noise.seed),
     }
     return Scene(frames, scene.image_width, scene.image_height,
-                 scene.ground_truth, scene.pseudo_labels, meta)
+                 scene.ground_truth, None, meta)

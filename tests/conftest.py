@@ -23,12 +23,15 @@ def child_env(**extra) -> dict:
     """Environment for a `python -m panolayout` child process.
 
     The checkout's src directory goes first on PYTHONPATH, so the child runs
-    the package under test whether or not it is installed.
+    the package under test whether or not it is installed. A numpy
+    RuntimeWarning is an error in the child, as it is in-process.
     """
     env = os.environ.copy()
     env.update(extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env["PYTHONWARNINGS"] = ",".join(
+        w for w in (env.get("PYTHONWARNINGS"), "error::RuntimeWarning") if w)
     return env
 
 

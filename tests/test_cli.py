@@ -171,6 +171,34 @@ class TestRefine:
         load_scene(best)  # parses and validates
 
 
+    @pytest.fixture(scope="class")
+    def labeled_path(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("labeled")
+        run_cli("synth", "--room", "lshape", "--n-views", "5", "--width", "128",
+                "--noise-boundary-std", "0.03", "--out", str(tmp / "noisy.json"))
+        res = run_cli("pseudo-label", "--scene", str(tmp / "noisy.json"),
+                      "--out", str(tmp / "labeled.json"))
+        assert res.returncode == 0, res.stderr
+        return tmp / "labeled.json"
+
+    @pytest.mark.parametrize("iters", ["4", "0"])
+    def test_best_scene_keeps_labels_only_at_iteration_0(self, labeled_path,
+                                                         tmp_path, iters):
+        traj, best = tmp_path / "traj.csv", tmp_path / "best.json"
+        res = run_cli("refine", "--scene", str(labeled_path), "--iters", iters,
+                      "--out-traj", str(traj), "--out-scene", str(best))
+        assert res.returncode == 0, res.stderr
+        with open(traj, newline="") as f:
+            h = [float(r["h_mlc"]) for r in csv.DictReader(f)]
+        best_iter = h.index(min(h))
+        assert (best_iter > 0) == (iters == "4")
+        labels = load_scene(best).pseudo_labels
+        if best_iter:
+            assert labels is None
+        else:
+            assert labels.keys() == load_scene(labeled_path).pseudo_labels.keys()
+
+
 class TestRenderDensity:
     def test_pgm_output(self, scene_path, tmp_path):
         out = tmp_path / "density.pgm"
@@ -186,6 +214,35 @@ class TestErrorHandling:
     def test_usage_error_is_2(self):
         res = run_cli("reproject")  # missing required flags
         assert res.returncode == 2
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ArgumentError"
+        assert "--scene" in err["error"]["message"]
+
+    @pytest.mark.parametrize("argv,word", [
+        (["refine", "--iters", "abc"], "--iters"),
+        (["metric", "--grid", "4"], "--grid"),
+        (["nope"], "invalid choice"),
+    ])
+    def test_usage_error_in_process_writes_json(self, capsys, argv, word):
+        from panolayout import cli
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert word in err["error"]["message"]
+
+    def test_underflowing_ceiling_depths_are_2(self, scene_path, tmp_path):
+        # view_ious accepts this view, but its ceiling-row depths underflow
+        # to 0, which only the map-level depth check reports.
+        doc = json.loads(scene_path.read_text())
+        W = doc["image_width"]
+        doc["frames"][0]["boundary_ceiling"] = [1e-322] * W
+        doc["frames"][0]["boundary_floor"] = [-1.5] * W
+        bad = tmp_path / "underflow.json"
+        bad.write_text(json.dumps(doc))
+        res = run_cli("evaluate", "--scene", str(bad), "--raster", "64",
+                      "--out", str(tmp_path / "report.json"))
+        assert res.returncode == 2, res.stderr
+        err = json.loads(res.stderr)
+        assert err["error"]["message"] == "depths must be finite and positive"
 
     def test_format_error_is_3(self, scene_path, tmp_path):
         doc = json.loads(scene_path.read_text())

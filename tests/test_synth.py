@@ -7,7 +7,7 @@ from panolayout.errors import GeometryError
 from panolayout.geometry import BoundaryKind, CameraPose, boundary_to_world, \
     ceiling_height, column_longitudes
 from panolayout.pseudolabel import fuse
-from panolayout.reprojection import build_stack
+from panolayout.reprojection import build_stack, build_stacks
 from panolayout.synth import NoiseSpec, RoomSpec, exact_boundary, generate_scene, \
     kernel_clearance, lshape_room, ngon_room, perturb, ray_distances, \
     square_room
@@ -33,6 +33,21 @@ class TestRoomSpec:
     def test_bad_heights_rejected(self):
         with pytest.raises(ValueError):
             square_room(4.0, h_floor=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: square_room(2.1e6),                   # beyond the loader's 1e6 m
+        lambda: lshape_room(float("nan")),
+        lambda: square_room(4.0, h_floor=1.1e6),
+        lambda: square_room(4.0, h_ceil=math.inf),
+        lambda: ngon_room(257),                       # O(sides^2) validation
+    ])
+    def test_sizes_beyond_bounds_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_largest_sizes_accepted(self):
+        assert ngon_room(256, 1e6 / 2, 1e6, 1e6).footprint.shape == (256, 2)
+        square_room(2e6)
 
 
 class TestExactBoundary:
@@ -106,6 +121,11 @@ class TestGenerateScene:
         with pytest.raises(GeometryError):
             generate_scene(tiny, 1, 64, seed=0)
 
+    @pytest.mark.parametrize("n_views,W", [(0, 64), (1025, 64), (1, 7), (1, 16385)])
+    def test_sizes_beyond_bounds_rejected(self, n_views, W):
+        with pytest.raises(ValueError, match="must lie in"):
+            generate_scene(square_room(4.0), n_views, W, seed=0)
+
     def test_metadata_records_rng(self):
         scene = generate_scene(square_room(4.0), 2, 64, seed=9)
         assert scene.meta["rng"] == "numpy-pcg64-seedsequence"
@@ -165,6 +185,17 @@ class TestPerturb:
         means = [np.mean([label_err(lv, s) for s in range(10)])
                  for lv in (0.01, 0.02, 0.05)]
         assert means[0] < means[1] < means[2]
+
+    def test_stale_pseudo_labels_dropped(self):
+        scene = generate_scene(square_room(4.0), 3, 64, seed=1)
+        scene.pseudo_labels = {s.target_view: fuse(s)
+                               for s in build_stacks(scene, BoundaryKind.FLOOR)}
+        assert perturb(scene, NoiseSpec(boundary_std=0.02, seed=3)).pseudo_labels is None
+
+    def test_translation_beyond_loader_bound_rejected(self):
+        scene = generate_scene(square_room(4.0), 2, 64, seed=1)
+        with pytest.raises(ValueError, match="1e6 m"):
+            perturb(scene, NoiseSpec(pose_trans_std=1e7, seed=3))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
