@@ -19,7 +19,7 @@ from .geometry import BoundaryKind, CameraPose, SphericalBoundary, WorldPolyline
     world_to_boundary_samples
 from .pseudolabel import PseudoLabel, fuse, l1_loss, wbc_loss
 from .reprojection import BoundaryStack, build_stack, build_stacks, \
-    reproject_boundary, resample_to_columns
+    resample_to_columns
 from .scene import Scene, ViewFrame
 from .sceneio import load_scene, save_scene
 from .selftrain import TrainConfig, TrainTrajectory, run, self_train_step
@@ -38,8 +38,7 @@ __all__ = [
     "density_map", "depth_metrics", "evaluate_scene", "floor_polygon",
     "footprint_ious", "fuse", "generate_scene", "iou2d", "iou3d", "l1_loss",
     "layout_depth", "load_scene", "lshape_room", "mlc_entropy", "ngon_room",
-    "perturb", "pixel_to_spherical", "render_density", "reproject_boundary",
-    "resample_to_columns", "run", "save_scene", "scene_from_poses",
-    "self_train_step", "square_room", "union_bounds", "wbc_loss",
-    "world_to_boundary_samples",
+    "perturb", "pixel_to_spherical", "render_density", "resample_to_columns",
+    "run", "save_scene", "scene_from_poses", "self_train_step", "square_room",
+    "union_bounds", "wbc_loss", "world_to_boundary_samples",
 ]

@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, reproject, pseudo-label, metric, evaluate,
 refine, render-density.
 
-Exit codes: 0 success, 2 usage error, 3 scene format/validation error,
-4 numeric or degenerate-geometry error. Every failure, usage errors too,
-ends in a machine-readable JSON object as the last stderr line. All
-subcommands are deterministic given their flags and seeds.
+Exit codes: 0 success, 2 usage error or MemoryError, 3 scene format or
+validation error, 4 numeric or degenerate-geometry error. Every failure,
+usage errors too, ends in a machine-readable JSON object as the last stderr
+line. All subcommands are deterministic given their flags and seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from . import consistency, evaluation, pseudolabel, selftrain, sceneio, synth
 from .errors import LayoutError, SceneFormatError
 from .geometry import BoundaryKind
-from .reprojection import build_stack, build_stacks
+from .reprojection import build_stack
 
 _ROOMS = ("square", "lshape", "ngon")
 _TRAIN = selftrain.TrainConfig()  # refine and pseudo-label flag defaults
@@ -61,13 +61,12 @@ def cmd_reproject(args) -> int:
 
 
 def cmd_pseudo_label(args) -> int:
+    cfg = selftrain.TrainConfig(estimator=args.estimator, sigma_floor=args.sigma_floor,
+                                view_fraction=args.view_fraction)
     scene = _load(args)
     kind = BoundaryKind(args.kind)
-    contributors = selftrain.select_views(scene.view_ids, args.view_fraction)
-    pseudolabel.check_fusion(args.estimator, args.sigma_floor)
-    labels = {s.target_view: pseudolabel.fuse(s, args.estimator, args.sigma_floor)
-              for s in build_stacks(scene, kind, contributors)}
-    scene.pseudo_labels = labels
+    scene.pseudo_labels = labels = selftrain.fuse_labels(
+        scene, scene.world_polylines((kind,)), [kind], cfg)[kind]
     sceneio.save_scene(scene, args.out)
     if args.out_csv:
         os.makedirs(args.out_csv, exist_ok=True)
@@ -255,7 +254,7 @@ def main(argv=None) -> int:
     except LayoutError as e:
         _emit_error(e)
         return 4
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         _emit_error(e)
         return 2
 

@@ -1,9 +1,9 @@
 """Re-projection of boundaries between views and per-column stack assembly.
 
-A source boundary is lifted to world coordinates, mapped into the target
-camera, and the resulting (lon, lat) curve is resampled at the target's
-column centers. Stacks collect one resampled row per source view, target
-included.
+Callers lift source boundaries to world coordinates (Scene.world_polylines)
+and pass the lifts in. Each is mapped into the target camera, and the (lon,
+lat) curve is resampled at the target's column centers. build_stacks yields
+one stack per target, a resampled row per source view, target included.
 
 A stack sends all its sources through one world-to-sphere transform and one
 call of the resampling kernel, and resample_to_columns is the kernel's
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .geometry import BoundaryKind, CameraPose, SphericalBoundary, WorldPolyline, \
-    boundary_to_world, column_longitudes, world_to_boundary_samples, wrap_longitude
+from .geometry import BoundaryKind, CameraPose, WorldPolyline, column_longitudes, \
+    world_to_boundary_samples, wrap_longitude
 from .scene import Scene
 
 logger = logging.getLogger(__name__)
@@ -66,16 +66,6 @@ class BoundaryStack:
     @property
     def n_views(self) -> int:
         return self.lat.shape[1]
-
-
-def reproject_boundary(src: SphericalBoundary, src_pose: CameraPose,
-                       dst_pose: CameraPose) -> np.ndarray:
-    """Source-view boundary as (lon, lat) samples in the target camera.
-
-    Equivalent to world_to_boundary_samples(boundary_to_world(src, src_pose),
-    dst_pose); W unresampled samples in source column order.
-    """
-    return world_to_boundary_samples(boundary_to_world(src, src_pose), dst_pose)
 
 
 def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
@@ -216,24 +206,22 @@ def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
     return (lat > 0.0) & (lat < math.pi / 2)
 
 
-def build_stacks(scene: Scene, kind: BoundaryKind,
-                 view_ids: list[str] | None = None,
-                 targets: list[str] | None = None) -> list[BoundaryStack]:
-    """Stacks for every target (default: all views, in frame order).
+def build_stacks(scene: Scene, polys: list[WorldPolyline],
+                 targets: list[str] | None = None):
+    """Yield the stack of each target (default: all views, in frame order).
 
-    Each selected source view is lifted to world coordinates once, the lifts
-    are merged into one polyline, and that is re-projected into every
-    target, which is the N x N step of 360-MLC.
+    polys are the sources' lifts of one kind, from Scene.world_polylines. They
+    are merged into one polyline and re-projected into every target, the
+    N x N step of 360-MLC. A caller that reduces each stack as it is yielded
+    holds one (W, N) stack at a time, not one per target.
     """
-    W = scene.image_width
-    dst = scene.frames if targets is None else [scene.frame(t) for t in targets]
-    polys = scene.world_polylines((kind,), view_ids)
     if not polys:
-        raise ValueError(f"no view carries a {kind.value} boundary")
+        raise ValueError("no view carries a boundary of the requested kind")
+    kind, W = polys[0].kind, scene.image_width
     merged = WorldPolyline(np.concatenate([p.points for p in polys]), "", kind)
     sources = [p.source_view for p in polys]
-    return [_stack_from_polylines(merged, sources, f.pose, f.view_id, kind, W)
-            for f in dst]
+    for f in scene.frames if targets is None else map(scene.frame, targets):
+        yield _stack_from_polylines(merged, sources, f.pose, f.view_id, kind, W)
 
 
 def build_stack(scene: Scene, target: str, kind: BoundaryKind,
@@ -245,7 +233,7 @@ def build_stack(scene: Scene, target: str, kind: BoundaryKind,
     falling on the wrong side of the horizon are masked invalid. Raises
     CoverageError if any column ends up with no valid entry.
     """
-    return build_stacks(scene, kind, view_ids, [target])[0]
+    return next(build_stacks(scene, scene.world_polylines((kind,), view_ids), [target]))
 
 
 def _stack_from_polylines(merged: WorldPolyline, sources: list[str],

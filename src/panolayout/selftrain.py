@@ -4,11 +4,12 @@ Each step re-fuses every view's boundary stack into a pseudo-label and moves
 the view's boundary toward it by a damping factor; with the uncertainty-
 weighted loss the per-column step shrinks where the views disagree. Early
 stopping picks the iteration with the lowest density-map entropy, evaluated
-on grid bounds frozen at iteration zero so values stay comparable. run steps
-every iteration, discarding the last update, and keeps only the best state,
-not a snapshot per evaluation. The trajectory's wbc is measured against each
-iteration's own labels, whose sigma shrinks as views agree, so it can rise
-while l1 falls: compare iterations by l1.
+on grid bounds frozen at iteration zero so values stay comparable. run lifts
+each state once, for both its stacks and its entropy, steps every iteration,
+discarding the last update, and keeps only the best state, not a snapshot
+per evaluation. The trajectory's wbc is measured against each iteration's
+own labels, whose sigma shrinks as views agree, so it can rise while l1
+falls: compare iterations by l1.
 """
 
 from __future__ import annotations
@@ -85,39 +86,46 @@ def select_views(view_ids: list[str], fraction: float) -> list[str]:
     return [view_ids[int(i)] for i in idx]
 
 
-def _fuse_all(scene: Scene, cfg: TrainConfig):
-    """Pseudo-labels for every (view, kind) from the configured view subset."""
-    contributors = select_views(scene.view_ids, cfg.view_fraction)
-    return {(s.target_view, kind): fuse(s, cfg.estimator, cfg.sigma_floor)
-            for kind in scene.kinds() for s in build_stacks(scene, kind, contributors)}
+def fuse_labels(scene: Scene, polys, kinds, cfg: TrainConfig):
+    """Pseudo-labels {kind: {view id: label}} for every view and given kind.
+
+    Each kind is stacked from the lifts in polys (Scene.world_polylines) of
+    the configured view subset, and each stack is fused as it is yielded.
+    """
+    contributors = set(select_views(scene.view_ids, cfg.view_fraction))
+    labels = {}
+    for kind in kinds:
+        sources = [p for p in polys
+                   if p.kind == kind and p.source_view in contributors]
+        labels[kind] = {s.target_view: fuse(s, cfg.estimator, cfg.sigma_floor)
+                        for s in build_stacks(scene, sources)}
+    return labels
 
 
 def _step_losses(scene: Scene, labels) -> tuple[float, float]:
-    wbc_vals, l1_vals = [], []
-    for (vid, kind), pl in labels.items():
-        b = scene.frame(vid).boundary(kind)
-        wbc_vals.append(wbc_loss(b, pl))
-        l1_vals.append(l1_loss(b, pl))
-    return float(np.mean(wbc_vals)), float(np.mean(l1_vals))
+    pairs = [(scene.frame(vid).boundary(kind), pl)
+             for kind, per_view in labels.items() for vid, pl in per_view.items()]
+    return (float(np.mean([wbc_loss(b, pl) for b, pl in pairs])),
+            float(np.mean([l1_loss(b, pl) for b, pl in pairs])))
 
 
-def self_train_step(scene: Scene, cfg: TrainConfig):
+def self_train_step(scene: Scene, cfg: TrainConfig, polys):
     """One synchronous consensus update over all views.
 
-    Stacks are built from the pre-step boundaries of the selected
-    contributor views, so per-view updates are order-independent. Returns
-    (updated scene, (mean_wbc, mean_l1)) with losses measured before the
-    update. With loss="wbc" the per-column step is scaled by
+    Stacks are built from polys, the pre-step scene.world_polylines(), of the
+    selected contributor views, so per-view updates are order-independent.
+    Returns (updated scene, (mean_wbc, mean_l1)) with losses measured before
+    the update. With loss="wbc" the per-column step is scaled by
     min(1, sigma_ref^2 / sigma^2), sigma_ref being the view's median sigma,
     which damps updates where the re-projections disagree.
     """
-    labels = _fuse_all(scene, cfg)
+    labels = fuse_labels(scene, polys, scene.kinds(), cfg)
     losses = _step_losses(scene, labels)
     updates = {}
     for f in scene.frames:
         per_kind = {}
         for kind in scene.kinds():
-            pl = labels[(f.view_id, kind)]
+            pl = labels[kind][f.view_id]
             lat = f.boundary(kind).lat
             if cfg.loss == "wbc":
                 sigma_ref = float(np.median(pl.sigma))
@@ -155,14 +163,13 @@ def run(scene: Scene, cfg: TrainConfig):
     state = best_state = scene
     best_h, best_iter, bounds = math.inf, 0, None
     for k in range(cfg.max_iters + 1):
-        next_state, losses = self_train_step(state, cfg)   # the last is unused
+        polys = state.world_polylines()   # the one lift of this state
+        next_state, losses = self_train_step(state, cfg, polys)   # the last is unused
         rec = IterationRecord(k, *losses)
         if k % cfg.eval_every == 0 or k == cfg.max_iters:
-            polys = state.world_polylines()
             bounds = data_bounds(polys) if bounds is None else bounds
             rec.h_mlc = mlc_entropy(density_map(polys, cfg.grid_size, cfg.grid_size,
                                                 cfg.padding, bounds=bounds))
-            del polys  # not held through the next step: 0.8 MB at N=16, W=1024
             if scene.ground_truth is not None:
                 rec.iou2d, rec.iou3d = _mean_iou(state)
             if rec.h_mlc < best_h:

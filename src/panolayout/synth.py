@@ -56,6 +56,11 @@ class RoomSpec:
             raise ValueError("footprint must be a simple polygon")
         if not all(0.0 < h <= _MAX_METERS for h in (self.h_floor, self.h_ceil)):
             raise ValueError("h_floor and h_ceil must lie in (0, 1e6] m")
+        # Farther walls would lie within LAT_MIN of the horizon: no lift.
+        span = float(np.max(np.linalg.norm(poly[:, None] - poly, axis=-1)))
+        if span >= min(self.h_floor, self.h_ceil) / math.tan(LAT_MIN):
+            raise ValueError(f"footprint spans {span:g} m, too wide for heights "
+                             f"{self.h_floor:g} and {self.h_ceil:g} m")
 
 
 @dataclass(frozen=True)

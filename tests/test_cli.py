@@ -100,6 +100,20 @@ class TestPseudoLabel:
         files = sorted(csv_dir.glob("*.csv"))
         assert len(files) == 5
 
+    def test_ceiling_labels_from_frames_that_carry_one(self, scene_path, tmp_path):
+        from panolayout import cli
+        doc = json.loads(scene_path.read_text())
+        del doc["frames"][-1]["boundary_ceiling"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(doc))
+        for kind, n_sources in (("floor", 5), ("ceiling", 4)):
+            out = tmp_path / f"labeled_{kind}.json"
+            assert cli.main(["pseudo-label", "--scene", str(partial), "--kind", kind,
+                             "--out", str(out)]) == 0
+            labels = load_scene(out).pseudo_labels
+            assert list(labels) == load_scene(partial).view_ids
+            assert max(int(pl.support.max()) for pl in labels.values()) == n_sources
+
 
 class TestMetric:
     def test_stdout_format_and_noise_ordering(self, tmp_path):
@@ -228,6 +242,31 @@ class TestErrorHandling:
         assert cli.main(argv) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert word in err["error"]["message"]
+
+    def test_memory_error_is_2(self, scene_path, tmp_path, capsys, monkeypatch):
+        from panolayout import cli, selftrain
+
+        def exhausted(scene, cfg):
+            raise MemoryError("Unable to allocate 2.4 GiB")
+
+        monkeypatch.setattr(selftrain, "run", exhausted)
+        assert cli.main(["refine", "--scene", str(scene_path),
+                         "--out-traj", str(tmp_path / "traj.csv"),
+                         "--out-scene", str(tmp_path / "best.json")]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == {"type": "MemoryError",
+                                "message": "Unable to allocate 2.4 GiB"}
+
+    def test_room_too_wide_for_its_heights_is_2(self, tmp_path):
+        # At 2e4 m the walls would lie within LAT_MIN of the horizon, and no
+        # later command could lift the scene.
+        out = tmp_path / "wide.json"
+        res = run_cli("synth", "--size", "2e4", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ValueError"
+        assert "too wide" in err["error"]["message"]
+        assert not out.exists()
 
     def test_underflowing_ceiling_depths_are_2(self, scene_path, tmp_path):
         # view_ious accepts this view, but its ceiling-row depths underflow
@@ -363,7 +402,7 @@ class TestErrorHandling:
             calls.append(1)
             return real(*args, **kwargs)
 
-        for module in (cli, reprojection, selftrain):
+        for module in (reprojection, selftrain):
             monkeypatch.setattr(module, "build_stacks", counting)
         out = tmp_path / "out"
         argv = {"refine": ["--iters", "1", "--out-traj", str(out),

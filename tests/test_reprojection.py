@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from panolayout import reprojection
 from panolayout.errors import CoverageError
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    column_longitudes
+    boundary_to_world, column_longitudes, world_to_boundary_samples
 from panolayout.reprojection import build_stack, build_stacks, \
-    reproject_boundary, resample_to_columns
+    resample_to_columns
 from panolayout.scene import Scene, ViewFrame
 from panolayout.sceneio import save_scene
 from panolayout.selftrain import select_views
@@ -206,7 +206,7 @@ class TestReprojectBoundary:
         for _ in range(10):
             b = random_boundary(rng, 64)
             pose = random_pose(rng)
-            samples = reproject_boundary(b, pose, pose)
+            samples = world_to_boundary_samples(boundary_to_world(b, pose), pose)
             assert np.max(np.abs(samples[:, 0] - column_longitudes(64))) < 1e-9
             assert np.max(np.abs(samples[:, 1] - b.lat)) < 1e-9
 
@@ -217,7 +217,7 @@ class TestReprojectBoundary:
         src = upright(0.0, (0.0, 0.0, 0.0), hf=h)
         dst = upright(0.4, (0.5, 0.0, -0.3), hf=h)
         b = SphericalBoundary(np.full(W, -math.atan2(h, r)), BoundaryKind.FLOOR)
-        samples = reproject_boundary(b, src, dst)
+        samples = world_to_boundary_samples(boundary_to_world(b, src), dst)
         lon = column_longitudes(W)
         wall = np.stack([r * np.sin(lon), r * np.cos(lon)], axis=1)
         dist = np.linalg.norm(wall - np.array([0.5, -0.3]), axis=1)
@@ -234,7 +234,7 @@ class TestReprojectBoundary:
         lon = column_longitudes(W)
         d = ray_distances(room.footprint, (0.3, -0.2), lon + yaw_src)
         b = SphericalBoundary(-np.arctan(1.6 / d), BoundaryKind.FLOOR)
-        samples = reproject_boundary(b, src, dst)
+        samples = world_to_boundary_samples(boundary_to_world(b, src), dst)
         world = np.stack([0.3 + d * np.sin(lon + yaw_src),
                           np.full(W, 1.6),
                           -0.2 + d * np.cos(lon + yaw_src)], axis=1)
@@ -527,7 +527,7 @@ class TestBuildStacks:
         for kind in (BoundaryKind.FLOOR, BoundaryKind.CEILING):
             polys = scene.world_polylines((kind,))
             with logged_contested() as logged:
-                stacks = build_stacks(scene, kind)
+                stacks = list(build_stacks(scene, polys))
             expected_logs = []
             for f, stack in zip(scene.frames, stacks):
                 lat = np.empty((1024, len(polys)))
@@ -559,7 +559,7 @@ class TestBuildStacks:
 
         monkeypatch.setattr(reprojection, "_resample_batch", counting)
         scene = generate_scene(square_room(4.0), 9, 128, seed=1)
-        build_stacks(scene, BoundaryKind.FLOOR)
+        list(build_stacks(scene, scene.world_polylines((BoundaryKind.FLOOR,))))
         assert sizes == [9] * 9
 
     @settings(max_examples=40, deadline=None)
@@ -569,8 +569,9 @@ class TestBuildStacks:
         # this checks that a source's column does not depend on its neighbours.
         scene, kind, order = case
         ids = [scene.view_ids[j] for j in order]
-        full = build_stacks(scene, kind)
-        for s, p in zip(full, build_stacks(scene, kind, ids)):
+        full = build_stacks(scene, scene.world_polylines((kind,)))
+        part = build_stacks(scene, scene.world_polylines((kind,), ids))
+        for s, p in zip(full, part):
             assert p.target_view == s.target_view and p.view_ids == ids
             assert np.array_equal(p.lat, s.lat[:, order], equal_nan=True)
             assert np.array_equal(p.valid, s.valid[:, order])
@@ -590,12 +591,13 @@ class TestBuildStacks:
                         refs[t] = build_stack(noisy, t, kind, ids)
                     except CoverageError:
                         pass
+                polys = noisy.world_polylines((kind,), ids)
                 if len(refs) == len(noisy.view_ids):
-                    stacks = build_stacks(noisy, kind, ids)
+                    stacks = list(build_stacks(noisy, polys))
                 else:
                     with pytest.raises(CoverageError):
-                        build_stacks(noisy, kind, ids)
-                    stacks = build_stacks(noisy, kind, ids, list(refs))
+                        list(build_stacks(noisy, polys))
+                    stacks = list(build_stacks(noisy, polys, list(refs)))
                 assert [s.target_view for s in stacks] == list(refs)
                 for s in stacks:
                     ref = refs[s.target_view]

@@ -29,7 +29,8 @@ def _base_documents():
     labeled = perturb(generate_scene(lshape_room(), 3, 16, seed=4),
                       NoiseSpec(boundary_std=0.02, seed=1))
     labeled.pseudo_labels = {s.target_view: fuse(s)
-                             for s in build_stacks(labeled, BoundaryKind.FLOOR)}
+                             for s in build_stacks(
+                                 labeled, labeled.world_polylines((BoundaryKind.FLOOR,)))}
     return [scene_to_document(plain), scene_to_document(labeled)]
 
 

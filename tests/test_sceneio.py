@@ -137,7 +137,8 @@ class TestWriterAgainstReference:
                         NoiseSpec(boundary_std=0.03, pose_trans_std=0.05,
                                   pose_rot_std=0.01, seed=seed))
         scene.pseudo_labels = {s.target_view: fuse(s)
-                               for s in build_stacks(scene, BoundaryKind.FLOOR)}
+                               for s in build_stacks(
+                                   scene, scene.world_polylines((BoundaryKind.FLOOR,)))}
         doc = scene_to_document(scene)
         assert dumps_document(doc) == reference_dumps_document(doc)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -12,8 +13,9 @@ from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
     ceiling_height
 from panolayout.scene import Scene, ViewFrame
 from panolayout.selftrain import IterationRecord, TrainConfig, TrainTrajectory, \
-    _fuse_all, _step_losses, run, select_views, self_train_step
-from panolayout.synth import NoiseSpec, generate_scene, perturb, square_room
+    _step_losses, fuse_labels, run, select_views, self_train_step
+from panolayout.synth import NoiseSpec, generate_scene, lshape_room, perturb, \
+    square_room
 
 from conftest import coaxial_cylinder_scene
 
@@ -68,7 +70,7 @@ class TestSelfTrainStep:
         # which the 1/sigma^2 weighting amplifies to ~1e-9.
         scene = identical_pose_scene()
         cfg = TrainConfig(max_iters=1, damping=0.7)
-        out, (wbc, l1) = self_train_step(scene, cfg)
+        out, (wbc, l1) = self_train_step(scene, cfg, scene.world_polylines())
         assert wbc < 1e-8
         assert l1 < 1e-13
         for f0, f1 in zip(scene.frames, out.frames):
@@ -79,7 +81,8 @@ class TestSelfTrainStep:
 
     def test_coaxial_scene_near_fixed_point(self):
         scene = coaxial_cylinder_scene(W=128)
-        out, (wbc, l1) = self_train_step(scene, TrainConfig(damping=1.0))
+        out, (wbc, l1) = self_train_step(scene, TrainConfig(damping=1.0),
+                                         scene.world_polylines())
         assert l1 < 1e-12
         for f0, f1 in zip(scene.frames, out.frames):
             assert np.max(np.abs(f0.boundary_floor.lat
@@ -91,7 +94,7 @@ class TestSelfTrainStep:
         clean = generate_scene(square_room(4.0), 5, 64, seed=8)
         noisy = perturb(clean, NoiseSpec(boundary_std=0.03, seed=9))
         cfg = TrainConfig(damping=1.0, loss="l1")
-        out, _ = self_train_step(noisy, cfg)
+        out, _ = self_train_step(noisy, cfg, noisy.world_polylines())
         for f in noisy.frames:
             label = fuse(build_stack(noisy, f.view_id, BoundaryKind.FLOOR))
             assert np.array_equal(out.frame(f.view_id).boundary_floor.lat,
@@ -101,7 +104,8 @@ class TestSelfTrainStep:
         clean = generate_scene(square_room(4.0), 5, 64, seed=8)
         noisy = perturb(clean, NoiseSpec(boundary_std=0.05, seed=10))
         for loss in ("wbc", "l1"):
-            out, _ = self_train_step(noisy, TrainConfig(damping=0.4, loss=loss))
+            out, _ = self_train_step(noisy, TrainConfig(damping=0.4, loss=loss),
+                                     noisy.world_polylines())
             from panolayout.pseudolabel import fuse
             from panolayout.reprojection import build_stack
             for f in noisy.frames:
@@ -118,12 +122,44 @@ class TestSelfTrainStep:
         cfg = TrainConfig(damping=0.5)
         errs = [mean_floor_error(state, clean)]
         for _ in range(5):
-            state, _ = self_train_step(state, cfg)
+            state, _ = self_train_step(state, cfg, state.world_polylines())
             errs.append(mean_floor_error(state, clean))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
+    def test_step_memory_grows_with_one_stack(self):
+        # Each stack is fused as it is built, so a step holds one (W, N) stack
+        # and the per-target labels, not every target's stack of a kind: the
+        # 64 stacks of 64 x 1024 entries alone take 38 MB.
+        scene = perturb(generate_scene(lshape_room(4.0), 64, 1024, seed=0),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=101))
+        polys = scene.world_polylines()
+        tracemalloc.start()
+        try:
+            self_train_step(scene, TrainConfig(), polys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+
 
 class TestRun:
+    def test_one_lift_per_state(self, monkeypatch):
+        # Fusion and entropy share each state's lift: 3 states, 2 kinds.
+        import panolayout.scene
+        n = 5
+        scene = perturb(generate_scene(lshape_room(4.0), n, 64, seed=2),
+                        NoiseSpec(boundary_std=0.02, seed=3))
+        original = panolayout.scene.boundary_to_world
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(panolayout.scene, "boundary_to_world", counting)
+        run(scene, TrainConfig(max_iters=2, grid_size=64))
+        assert len(calls) == 6 * n
+
     def test_noise_free_entropy_constant_best_zero(self):
         scene = coaxial_cylinder_scene(W=128)
         traj, best = run(scene, TrainConfig(max_iters=6, damping=0.5,
@@ -185,8 +221,9 @@ class TestRun:
     def test_view_fraction_restricts_contributors(self):
         clean = generate_scene(square_room(4.0), 6, 64, seed=4)
         noisy = perturb(clean, NoiseSpec(boundary_std=0.03, seed=5))
-        full, _ = self_train_step(noisy, TrainConfig(view_fraction=1.0))
-        half, _ = self_train_step(noisy, TrainConfig(view_fraction=0.5))
+        polys = noisy.world_polylines()
+        full, _ = self_train_step(noisy, TrainConfig(view_fraction=1.0), polys)
+        half, _ = self_train_step(noisy, TrainConfig(view_fraction=0.5), polys)
         changed = any(
             not np.array_equal(full.frame(v).boundary_floor.lat,
                                half.frame(v).boundary_floor.lat)
@@ -251,11 +288,11 @@ def reference_run(scene: Scene, cfg: TrainConfig):
         records.append(rec)
 
     for k in range(cfg.max_iters):
-        next_state, losses = self_train_step(state, cfg)
+        next_state, losses = self_train_step(state, cfg, state.world_polylines())
         record(k, losses, evaluated=k % cfg.eval_every == 0)
         state = next_state
     # Final state needs one label pass of its own for the loss record.
-    final_labels = _fuse_all(state, cfg)
+    final_labels = fuse_labels(state, state.world_polylines(), state.kinds(), cfg)
     record(cfg.max_iters, _step_losses(state, final_labels), evaluated=True)
 
     return TrainTrajectory(records, best_iter), snapshots[best_iter]

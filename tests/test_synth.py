@@ -40,6 +40,8 @@ class TestRoomSpec:
         lambda: square_room(4.0, h_floor=1.1e6),
         lambda: square_room(4.0, h_ceil=math.inf),
         lambda: ngon_room(257),                       # O(sides^2) validation
+        lambda: square_room(2e4),                     # walls near the horizon
+        lambda: square_room(20.0, h_ceil=1e-3),
     ])
     def test_sizes_beyond_bounds_rejected(self, make):
         with pytest.raises(ValueError):
@@ -47,7 +49,15 @@ class TestRoomSpec:
 
     def test_largest_sizes_accepted(self):
         assert ngon_room(256, 1e6 / 2, 1e6, 1e6).footprint.shape == (256, 2)
-        square_room(2e6)
+        square_room(2e6, 1e6, 1e6)
+
+    def test_widest_room_for_default_heights_lifts(self):
+        # 9,000 m is 0.9 / tan(LAT_MIN): a footprint spanning less keeps every
+        # wall above LAT_MIN, one spanning more is rejected up front.
+        with pytest.raises(ValueError, match="too wide"):
+            square_room(9001.0 / math.sqrt(2.0))
+        scene = generate_scene(square_room(8990.0 / math.sqrt(2.0)), 3, 64, seed=0)
+        assert len(scene.world_polylines()) == 6
 
 
 class TestExactBoundary:
@@ -189,7 +199,8 @@ class TestPerturb:
     def test_stale_pseudo_labels_dropped(self):
         scene = generate_scene(square_room(4.0), 3, 64, seed=1)
         scene.pseudo_labels = {s.target_view: fuse(s)
-                               for s in build_stacks(scene, BoundaryKind.FLOOR)}
+                               for s in build_stacks(
+                                   scene, scene.world_polylines((BoundaryKind.FLOOR,)))}
         assert perturb(scene, NoiseSpec(boundary_std=0.02, seed=3)).pseudo_labels is None
 
     def test_translation_beyond_loader_bound_rejected(self):
