@@ -8,8 +8,8 @@ metrics (evaluation), synthetic scenes with exact boundaries (synth), and a
 consensus-refinement loop with entropy-based early stopping (selftrain).
 """
 
-from .consistency import DensityGrid, data_bounds, density_map, mlc_entropy, \
-    render_density, union_bounds
+from .consistency import DensityGrid, data_bounds, density_entropy, density_map, \
+    mlc_entropy, render_density, union_bounds
 from .errors import CoverageError, GeometryError, LayoutError, MetricError, \
     SceneFormatError
 from .evaluation import LayoutEvalReport, depth_metrics, evaluate_scene, \
@@ -35,10 +35,11 @@ __all__ = [
     "SceneFormatError", "SphericalBoundary", "TrainConfig", "TrainTrajectory",
     "ViewFrame", "WorldPolyline", "boundary_to_world", "build_stack",
     "build_stacks", "ceiling_height", "column_longitudes", "data_bounds",
-    "density_map", "depth_metrics", "evaluate_scene", "floor_polygon",
-    "footprint_ious", "fuse", "generate_scene", "iou2d", "iou3d", "l1_loss",
-    "layout_depth", "load_scene", "lshape_room", "mlc_entropy", "ngon_room",
-    "perturb", "pixel_to_spherical", "render_density", "resample_to_columns",
-    "run", "save_scene", "scene_from_poses", "self_train_step", "square_room",
-    "union_bounds", "wbc_loss", "world_to_boundary_samples",
+    "density_entropy", "density_map", "depth_metrics", "evaluate_scene",
+    "floor_polygon", "footprint_ious", "fuse", "generate_scene", "iou2d",
+    "iou3d", "l1_loss", "layout_depth", "load_scene", "lshape_room",
+    "mlc_entropy", "ngon_room", "perturb", "pixel_to_spherical",
+    "render_density", "resample_to_columns", "run", "save_scene",
+    "scene_from_poses", "self_train_step", "square_room", "union_bounds",
+    "wbc_loss", "world_to_boundary_samples",
 ]

@@ -5,11 +5,19 @@ Exit codes: 0 success, 2 usage error or MemoryError, 3 scene format or
 validation error, 4 numeric or degenerate-geometry error. Every failure,
 usage errors too, ends in a machine-readable JSON object as the last stderr
 line. All subcommands are deterministic given their flags and seeds.
+
+main builds its parser once per process and pins glibc's malloc mmap and
+trim thresholds (32 and 64 MiB): otherwise whether each re-projection kernel
+call's few MB of temporaries are unmapped and faulted back in on every call
+depends on which large blocks the process freed before. The library never
+touches the allocator.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import logging
 import os
@@ -64,6 +72,7 @@ def cmd_pseudo_label(args) -> int:
     cfg = selftrain.TrainConfig(estimator=args.estimator, sigma_floor=args.sigma_floor,
                                 view_fraction=args.view_fraction)
     scene = _load(args)
+    selftrain.check_step(scene, cfg)
     kind = BoundaryKind(args.kind)
     scene.pseudo_labels = labels = selftrain.fuse_labels(
         scene, scene.world_polylines((kind,)), [kind], cfg)[kind]
@@ -76,20 +85,22 @@ def cmd_pseudo_label(args) -> int:
     return 0
 
 
-def _density_grid(scene, args):
+def _density_args(scene, args):
     polys = scene.world_polylines((BoundaryKind.FLOOR,)) if args.floor_only \
         else scene.world_polylines()
-    return consistency.density_map(polys, args.grid[0], args.grid[1], args.padding)
+    return polys, args.grid[0], args.grid[1], args.padding
 
 
 def cmd_metric(args) -> int:
     scene = _load(args)
-    grid = _density_grid(scene, args)
-    h = consistency.mlc_entropy(grid)
-    if args.out_map:
-        consistency.render_density(grid, args.out_map)
-    if args.out:
-        sceneio.write_density_csv(consistency.occupied_cells(grid), args.out)
+    density_args = _density_args(scene, args)
+    h = consistency.density_entropy(*density_args)
+    if args.out_map or args.out:
+        grid = consistency.density_map(*density_args)
+        if args.out_map:
+            consistency.render_density(grid, args.out_map)
+        if args.out:
+            sceneio.write_density_csv(consistency.occupied_cells(grid), args.out)
     sys.stdout.write(f"H_MLC={sceneio.format_float(h)}\n")
     return 0
 
@@ -123,8 +134,8 @@ def cmd_refine(args) -> int:
 
 def cmd_render_density(args) -> int:
     scene = _load(args)
-    grid = _density_grid(scene, args)
-    consistency.render_density(grid, args.out)
+    consistency.render_density(consistency.density_map(*_density_args(scene, args)),
+                               args.out)
     return 0
 
 
@@ -240,10 +251,30 @@ def _emit_error(exc: Exception) -> None:
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
+# glibc's mallopt parameter numbers; 32 MiB is its dynamic mmap maximum.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Serve blocks below 32 MiB from a heap trimmed above 64 MiB (glibc)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt, or no CDLL(None)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    _pin_malloc_thresholds()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:  # a usage error (2), already reported, or --help
         return e.code
     try:

@@ -5,6 +5,11 @@ plane; the entropy of the normalized histogram measures how well the views
 agree: tightly aligned layouts concentrate mass in few cells (low entropy),
 misaligned ones smear it out (high entropy). Entropy values are only
 comparable between runs histogrammed on identical grid bounds.
+
+The histogram is counted sparsely: one np.unique over the points' flat cell
+indices gives the occupied cells and their counts. density_map scatters
+those into a U x V grid; density_entropy sums the entropy from them alone,
+so scoring a few thousand points on a 512 x 512 grid builds no grid.
 """
 
 from __future__ import annotations
@@ -76,6 +81,42 @@ def check_grid(U: int, V: int, padding: float) -> None:
         raise ValueError(f"padding must lie in [0, 1e6], got {padding!r}")
 
 
+def _cell_counts(polylines: list[WorldPolyline], U: int, V: int, padding: float,
+                 bounds):
+    """(cells, counts, origin, cell) of density_map's grid, without the grid.
+
+    cells holds the occupied flat cell indices u * V + v in increasing order
+    and counts the points in each; origin and cell are the grid's.
+    """
+    check_grid(U, V, padding)
+    if not polylines:
+        raise ValueError("need at least one polyline")
+    pts = np.concatenate([p.points for p in polylines], axis=0)
+    x, z = pts[:, 0], pts[:, 2]
+    if bounds is None:
+        bounds = data_bounds(polylines)
+    xmin, xmax, zmin, zmax = bounds
+    pad_x, pad_z = padding * (xmax - xmin), padding * (zmax - zmin)
+    span_x = (xmax - xmin) * (1.0 + 2.0 * padding)
+    span_z = (zmax - zmin) * (1.0 + 2.0 * padding)
+    cell = max(span_x / U, span_z / V)
+    if cell <= 0.0:
+        cell = 1.0
+    ox = 0.5 * (xmin + xmax) - 0.5 * U * cell
+    oz = 0.5 * (zmin + zmax) - 0.5 * V * cell
+    # Points exactly on the far grid edge belong to the last cell. The
+    # centred origin can round past the padded box, so a point inside that
+    # box counts too, clamped into the edge cell.
+    inside = (((x >= ox) & (x <= ox + U * cell)
+               | (x >= xmin - pad_x) & (x <= xmax + pad_x))
+              & ((z >= oz) & (z <= oz + V * cell)
+                 | (z >= zmin - pad_z) & (z <= zmax + pad_z)))
+    iu = np.clip(np.floor((x[inside] - ox) / cell).astype(np.int64), 0, U - 1)
+    iv = np.clip(np.floor((z[inside] - oz) / cell).astype(np.int64), 0, V - 1)
+    cells, counts = np.unique(iu * V + iv, return_counts=True)
+    return cells, counts, np.array([ox, oz]), cell
+
+
 def density_map(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,
                 V: int = GRID_SIZE_DEFAULT, padding: float = PADDING_DEFAULT,
                 bounds=None) -> DensityGrid:
@@ -87,38 +128,36 @@ def density_map(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,
     contribute; restrict the input list for floor-only maps. A degenerate
     (single-point) extent collapses into one occupied cell.
     """
-    check_grid(U, V, padding)
-    if not polylines:
-        raise ValueError("need at least one polyline")
-    pts = np.concatenate([p.points for p in polylines], axis=0)
-    x, z = pts[:, 0], pts[:, 2]
-    if bounds is None:
-        bounds = data_bounds(polylines)
-    xmin, xmax, zmin, zmax = bounds
-    span_x = (xmax - xmin) * (1.0 + 2.0 * padding)
-    span_z = (zmax - zmin) * (1.0 + 2.0 * padding)
-    cell = max(span_x / U, span_z / V)
-    if cell <= 0.0:
-        cell = 1.0
-    ox = 0.5 * (xmin + xmax) - 0.5 * U * cell
-    oz = 0.5 * (zmin + zmax) - 0.5 * V * cell
-    # Points exactly on the far grid edge belong to the last cell.
-    inside = (x >= ox) & (x <= ox + U * cell) & (z >= oz) & (z <= oz + V * cell)
-    iu = np.minimum(np.floor((x - ox) / cell).astype(np.int64), U - 1)
-    iv = np.minimum(np.floor((z - oz) / cell).astype(np.int64), V - 1)
-    counts = np.zeros((U, V), dtype=np.int64)
-    np.add.at(counts, (iu[inside], iv[inside]), 1)
-    total = int(counts.sum())
-    bins = counts / total if total > 0 else counts.astype(float)
-    return DensityGrid(bins, np.array([ox, oz]), cell)
+    cells, counts, origin, cell = _cell_counts(polylines, U, V, padding, bounds)
+    bins = np.zeros(U * V)
+    if cells.size:
+        bins[cells] = counts / int(counts.sum())
+    return DensityGrid(bins.reshape(U, V), origin, cell)
+
+
+def _entropy(phi: np.ndarray) -> float:
+    return float(np.sum(-phi * np.log(phi)))
 
 
 def mlc_entropy(grid: DensityGrid) -> float:
     """Entropy (nats) of the normalized density grid, with 0*ln(0) := 0."""
     if not grid.normalized:
         raise MetricError("density grid is not normalized")
-    phi = grid.bins[grid.bins > 0.0]
-    return float(np.sum(-phi * np.log(phi)))
+    return _entropy(grid.bins[grid.bins > 0.0])
+
+
+def density_entropy(polylines: list[WorldPolyline], U: int = GRID_SIZE_DEFAULT,
+                    V: int = GRID_SIZE_DEFAULT, padding: float = PADDING_DEFAULT,
+                    bounds=None) -> float:
+    """mlc_entropy(density_map(...)) bit for bit, without a U x V array.
+
+    The occupied cells come in the order that the grid's bins > 0 lists
+    them, so the same terms are summed in the same order.
+    """
+    _, counts, _, _ = _cell_counts(polylines, U, V, padding, bounds)
+    if not counts.size:  # an empty grid cannot be normalized
+        raise MetricError("density grid is not normalized")
+    return _entropy(counts / int(counts.sum()))
 
 
 def render_density(grid: DensityGrid, path) -> None:

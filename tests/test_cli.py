@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,68 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == {"type": "MemoryError",
                                 "message": "Unable to allocate 2.4 GiB"}
+
+    def test_parser_built_once_and_writes_to_current_streams(self):
+        import contextlib
+        import io
+        from panolayout import cli
+        assert cli._parser() is cli._parser()
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["--help"]) == 0
+            with contextlib.redirect_stderr(err):
+                assert cli.main(["refine", "--iters", "abc"]) == 2
+            assert out.getvalue().startswith("usage: panolayout")
+            assert "--iters" in json.loads(err.getvalue().splitlines()[-1])[
+                "error"]["message"]
+
+    @pytest.mark.parametrize("command", ["refine", "pseudo-label"])
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_step_sample_limit_checked_before_any_lift(
+            self, scene_path, tmp_path, capsys, monkeypatch, command, over):
+        from panolayout import cli, selftrain
+        from panolayout.scene import Scene
+        lifts = []
+        real = Scene.world_polylines
+
+        def counting(*args, **kwargs):
+            lifts.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Scene, "world_polylines", counting)
+        # The scene has 5 views of 64 columns: 5 x 5 x 64 samples a kind.
+        monkeypatch.setattr(selftrain, "MAX_STEP_SAMPLES", 5 * 5 * 64 - over)
+        out = tmp_path / "out"
+        argv = {"refine": ["--iters", "0", "--grid", "32", "32", "--out-traj",
+                           str(out), "--out-scene", str(tmp_path / "best.json")],
+                "pseudo-label": ["--out", str(out)]}[command]
+        rc = cli.main([command, "--scene", str(scene_path), *argv])
+        if over:
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert "1600 samples per kind" in err["error"]["message"]
+            assert lifts == [] and not out.exists()
+        else:
+            assert rc == 0 and lifts and out.exists()
+
+    def test_256_views_of_4096_columns_end_within_seconds(self, tmp_path):
+        # Unbounded, one refine step here ran for over 4 minutes.
+        path = tmp_path / "big.json"
+        res = run_cli("synth", "--room", "lshape", "--n-views", "256",
+                      "--width", "4096", "--out", str(path))
+        assert res.returncode == 0, res.stderr
+        t0 = time.perf_counter()
+        res = run_cli("refine", "--scene", str(path), "--iters", "1",
+                      "--out-traj", str(tmp_path / "traj.csv"),
+                      "--out-scene", str(tmp_path / "best.json"))
+        elapsed = time.perf_counter() - t0
+        path.unlink()  # 85 MB
+        assert elapsed < 60.0
+        if res.returncode != 0:
+            assert res.returncode == 2
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert "samples per kind" in err["error"]["message"]
 
     def test_room_too_wide_for_its_heights_is_2(self, tmp_path):
         # At 2e4 m the walls would lie within LAT_MIN of the horizon, and no

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from panolayout.consistency import DensityGrid, data_bounds, density_map, \
-    mlc_entropy, occupied_cells, render_density, union_bounds
+from panolayout.consistency import DensityGrid, check_grid, data_bounds, \
+    density_entropy, density_map, mlc_entropy, occupied_cells, render_density, \
+    union_bounds
 from panolayout.errors import MetricError
 from panolayout.geometry import BoundaryKind, CameraPose, WorldPolyline
 from panolayout.synth import NoiseSpec, generate_scene, perturb, \
@@ -18,6 +19,43 @@ def poly_from_xz(xz, y=1.6):
     xz = np.asarray(xz, float)
     pts = np.stack([xz[:, 0], np.full(len(xz), y), xz[:, 1]], axis=1)
     return WorldPolyline(pts, "p", BoundaryKind.FLOOR)
+
+
+def reference_density_map(polylines, U, V, padding, bounds=None):
+    """density_map as a dense np.add.at scatter into a U x V count grid.
+
+    Returns (grid, number of points counted). A point counts when it lies in
+    the grid or in the padded bounds box, with its cell clamped into range.
+    """
+    check_grid(U, V, padding)
+    pts = np.concatenate([p.points for p in polylines], axis=0)
+    x, z = pts[:, 0], pts[:, 2]
+    xmin, xmax, zmin, zmax = data_bounds(polylines) if bounds is None else bounds
+    span_x = (xmax - xmin) * (1.0 + 2.0 * padding)
+    span_z = (zmax - zmin) * (1.0 + 2.0 * padding)
+    cell = max(span_x / U, span_z / V)
+    if cell <= 0.0:
+        cell = 1.0
+    ox = 0.5 * (xmin + xmax) - 0.5 * U * cell
+    oz = 0.5 * (zmin + zmax) - 0.5 * V * cell
+    pad_x, pad_z = padding * (xmax - xmin), padding * (zmax - zmin)
+    in_x = ((x >= ox) & (x <= ox + U * cell)) | ((x >= xmin - pad_x) & (x <= xmax + pad_x))
+    in_z = ((z >= oz) & (z <= oz + V * cell)) | ((z >= zmin - pad_z) & (z <= zmax + pad_z))
+    inside = in_x & in_z
+    iu = np.clip(np.floor((x - ox) / cell).astype(np.int64), 0, U - 1)
+    iv = np.clip(np.floor((z - oz) / cell).astype(np.int64), 0, V - 1)
+    counts = np.zeros((U, V), dtype=np.int64)
+    np.add.at(counts, (iu[inside], iv[inside]), 1)
+    total = int(counts.sum())
+    bins = counts / total if total > 0 else counts.astype(float)
+    return DensityGrid(bins, np.array([ox, oz]), cell), total
+
+
+_XZ = st.floats(-50.0, 50.0)
+_POLYS = st.lists(st.lists(st.tuples(_XZ, _XZ), min_size=1, max_size=60),
+                  min_size=1, max_size=4)
+_BOUNDS = st.none() | st.tuples(_XZ, _XZ, _XZ, _XZ).map(
+    lambda b: (min(b[0], b[1]), max(b[0], b[1]), min(b[2], b[3]), max(b[2], b[3])))
 
 
 class TestDensityMap:
@@ -81,6 +119,41 @@ class TestDensityMap:
             density_map([], 8, 8)
 
 
+class TestSparseCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(_POLYS, st.integers(2, 512), st.integers(2, 512),
+           st.sampled_from((0.0, 0.05, 1.0)), _BOUNDS)
+    @example([[(0.0, 0.0), (0.0, 24.857846386489907)]], 2, 3, 0.0, None)
+    @example([[(0.0, 0.0), (60.0, 60.0)]], 512, 512, 0.05, (0.0, 1.0, 0.0, 1.0))
+    def test_matches_dense_reference_bit_for_bit(self, polys, U, V, padding,
+                                                 bounds):
+        polylines = [poly_from_xz(p) for p in polys]
+        ref, counted = reference_density_map(polylines, U, V, padding, bounds)
+        grid = density_map(polylines, U, V, padding, bounds=bounds)
+        assert grid.bins.tobytes() == ref.bins.tobytes()
+        assert grid.origin.tobytes() == ref.origin.tobytes()
+        assert grid.cell_size == ref.cell_size
+        if bounds is None:  # every point lies in its own padded bounds box
+            assert counted == sum(len(p) for p in polys)
+        if counted:
+            h = density_entropy(polylines, U, V, padding, bounds=bounds)
+            assert h.hex() == mlc_entropy(grid).hex()
+        else:
+            with pytest.raises(MetricError):
+                density_entropy(polylines, U, V, padding, bounds=bounds)
+            with pytest.raises(MetricError):
+                mlc_entropy(grid)
+
+    def test_scene_entropy_matches_grid_entropy(self):
+        scene = perturb(generate_scene(square_room(4.0), 6, 256, seed=2),
+                        NoiseSpec(boundary_std=0.03, seed=3))
+        polys = scene.world_polylines()
+        bounds = data_bounds(polys[:3])
+        for kw in ({}, {"bounds": bounds}, {"padding": 0.0}):
+            assert density_entropy(polys, **kw) == \
+                mlc_entropy(density_map(polys, **kw))
+
+
 class TestEntropy:
     def test_single_cell_zero(self):
         grid = density_map([poly_from_xz([[0.0, 0.0]] * 4)], 8, 8)
@@ -113,6 +186,7 @@ class TestEntropy:
                                        st.floats(-50.0, 50.0)),
                              min_size=1, max_size=60), min_size=1, max_size=4),
            st.integers(2, 64), st.integers(2, 64), st.sampled_from((0.0, 0.05, 1.0)))
+    @example([[(0.0, 0.0), (0.0, 24.857846386489907)]], 2, 3, 0.0)
     def test_entropy_within_bounds_for_random_polylines(self, polys, U, V,
                                                         padding):
         grid = density_map([poly_from_xz(p) for p in polys], U, V, padding)

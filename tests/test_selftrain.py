@@ -1,5 +1,6 @@
 import itertools
 import math
+import platform
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -141,6 +142,24 @@ class TestSelfTrainStep:
             tracemalloc.stop()
         assert peak <= 32e6
 
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="pins glibc's malloc thresholds")
+    def test_step_reuses_heap_after_cli_pins_malloc(self, capsys):
+        # Unpinned, glibc maps and trims each kernel call's temporaries and
+        # faults them back in: about 17,000 minor faults a step here.
+        import resource
+        from panolayout import cli
+        assert cli.main(["--help"]) == 0
+        scene = perturb(generate_scene(lshape_room(4.0), 16, 1024, seed=0),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=101))
+        polys, cfg = scene.world_polylines(), TrainConfig()
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            self_train_step(scene, cfg, polys)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[2:]) < 1000, faults
 
 class TestRun:
     def test_one_lift_per_state(self, monkeypatch):
@@ -339,7 +358,7 @@ class TestRunAgainstReference:
                                       f_ref.boundary_ceiling.lat)
 
     def test_entropy_tie_goes_to_iteration_zero(self, monkeypatch):
-        monkeypatch.setattr(selftrain, "mlc_entropy", lambda grid: 1.0)
+        monkeypatch.setattr(selftrain, "density_entropy", lambda *a, **k: 1.0)
         scene = _VARIANTS[True, True]
         traj, best = run(scene, TrainConfig(max_iters=3, grid_size=128))
         assert traj.best_iter == 0
