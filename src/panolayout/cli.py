@@ -94,13 +94,16 @@ def _density_args(scene, args):
 def cmd_metric(args) -> int:
     scene = _load(args)
     density_args = _density_args(scene, args)
-    h = consistency.density_entropy(*density_args)
     if args.out_map or args.out:
+        # The grid's entropy equals density_entropy's bit for bit.
         grid = consistency.density_map(*density_args)
+        h = consistency.mlc_entropy(grid)
         if args.out_map:
             consistency.render_density(grid, args.out_map)
         if args.out:
             sceneio.write_density_csv(consistency.occupied_cells(grid), args.out)
+    else:
+        h = consistency.density_entropy(*density_args)
     sys.stdout.write(f"H_MLC={sceneio.format_float(h)}\n")
     return 0
 

@@ -2,10 +2,11 @@
 
 IoU counts the cells of an even-odd fill of both footprints on a shared
 raster^2 grid, which stays well-defined for the self-touching polygons noisy
-boundaries can produce. No mask is built: every (edge, row) crossing becomes
-a sorted cell key, and footprint_ious sums the lengths of the runs between
-consecutive keys where each fill, and both, are odd. Its work grows with the
-crossing count, not with raster^2.
+boundaries can produce. No mask is built: one pass over both polygons'
+edges, tagged by polygon, turns every (edge, row) crossing into a cell key,
+and footprint_ious sums the lengths of the runs between consecutive sorted
+keys where each fill, and both, are odd. Its work grows with the crossing
+count, not with raster^2.
 Depth metrics follow the fixed-camera-height protocol: both prediction and
 ground truth are scaled to a 1.6 m camera before comparison. A depth map is
 ceiling, wall and floor down each column between two row limits; ceiling
@@ -54,42 +55,49 @@ def floor_polygon(b: SphericalBoundary, pose: CameraPose) -> np.ndarray:
     return pts[:, [0, 2]]
 
 
-def _crossing_cells(poly: np.ndarray, bounds, raster: int):
-    """(row, cmin) of every even-odd crossing sampled at cell centers.
+def _crossing_cells(polys, bounds, raster: int):
+    """(row, cmin, tag) of every even-odd crossing of the polygons, sampled
+    at cell centers, in one pass over all their edges.
 
-    A crossing flips the fill of cells cmin..raster-1 in its row.
+    tag is the crossing polygon's index in polys, and each polygon closes
+    on itself. A crossing flips that polygon's fill of cells cmin..raster-1
+    in its row.
     """
     xmin, xmax, ymin, ymax = bounds
     cw = (xmax - xmin) / raster
     ch = (ymax - ymin) / raster
     ys = ymin + (np.arange(raster) + 0.5) * ch
-    x1, y1 = poly[:, 0], poly[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    sizes = [p.shape[0] for p in polys]
+    pts = np.concatenate(polys)
+    nxt = np.arange(1, pts.shape[0] + 1)
+    ends = np.cumsum(sizes)
+    nxt[ends - 1] = ends - sizes              # last vertex back to the first
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = x1[nxt], y1[nxt]
     # Half-open row span per edge (none if horizontal) avoids double counting
     # at shared vertices; an edge's k-th crossing lies on row start + k.
     start = np.searchsorted(ys, np.minimum(y1, y2), side="left")
     count = np.searchsorted(ys, np.maximum(y1, y2), side="left") - start
-    edge = np.repeat(np.arange(poly.shape[0]), count)
+    edge = np.repeat(np.arange(pts.shape[0]), count)
     rows = np.arange(edge.size) + np.repeat(start - np.cumsum(count) + count, count)
     xc = x1[edge] + (ys[rows] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
     # Crossing contributes to all cells whose center lies right of it.
     cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
     ok = cmin < raster
-    return rows[ok], np.clip(cmin[ok], 0, raster - 1)
+    tag = np.repeat(np.arange(len(polys)), sizes)[edge[ok]]
+    return rows[ok], np.clip(cmin[ok], 0, raster - 1), tag
 
 
 def _footprint_counts(pred: np.ndarray, gt: np.ndarray, bounds,
                       raster: int) -> tuple[int, int, int]:
     """(n_pred, n_gt, n_both): cells inside each even-odd fill and both."""
-    keys = []
-    for tag, poly in enumerate((pred, gt)):
-        rows, cmin = _crossing_cells(poly, bounds, raster)
-        # One more key at the right edge of each odd row closes every row even.
-        odd = np.flatnonzero(np.bincount(rows, minlength=raster) & 1)
-        keys += [(rows * raster + cmin) << 1 | tag,
-                 (odd * raster + raster) << 1 | tag]
+    rows, cmin, tag = _crossing_cells((pred, gt), bounds, raster)
+    # One more key at the right edge of each polygon's odd rows closes every
+    # row even; row << 1 | tag numbers the (row, polygon) pairs.
+    odd = np.flatnonzero(np.bincount(rows << 1 | tag, minlength=2 * raster) & 1)
     # The low bit tags the polygon, so one sort merges both key lists.
-    tagged = np.sort(np.concatenate(keys))
+    tagged = np.sort(np.concatenate([(rows * raster + cmin) << 1 | tag,
+                                     ((odd >> 1) * raster + raster) << 1 | odd & 1]))
     is_gt = tagged & 1
     in_gt = np.cumsum(is_gt)[:-1] & 1
     in_pred = np.cumsum(is_gt ^ 1)[:-1] & 1
@@ -297,25 +305,14 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray,
     return float(np.sqrt(mse)), float(np.count_nonzero(close) / close.size)
 
 
-def view_ious(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
-              raster: int = RASTER_DEFAULT) -> tuple[float, float | None]:
-    """(iou2d, iou3d) of one view's footprints; iou3d is None unless both
-    sides have a ceiling boundary."""
-    poly_p = floor_polygon(pred_floor, pose)
-    poly_g = floor_polygon(gt_floor, pose)
-    heights_p = heights_g = None
-    if pred_ceil is not None and gt_ceil is not None:
-        hf = pose.floor_height
-        heights_p = (hf, ceiling_height(pred_floor, pred_ceil, hf))
-        heights_g = (hf, ceiling_height(gt_floor, gt_ceil, hf))
-    return footprint_ious(poly_p, heights_p, poly_g, heights_g, raster)
-
-
 def evaluate_view(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
                   H: int, raster: int = RASTER_DEFAULT) -> dict:
     """All four metrics for one view's predicted vs ground-truth boundaries."""
-    iou_2d, iou_3d = view_ious(pred_floor, pred_ceil, gt_floor, gt_ceil, pose,
-                               raster)
+    poly_p, poly_g = floor_polygon(pred_floor, pose), floor_polygon(gt_floor, pose)
+    hf = pose.floor_height
+    iou_2d, iou_3d = footprint_ious(
+        poly_p, (hf, ceiling_height(pred_floor, pred_ceil, hf)),
+        poly_g, (hf, ceiling_height(gt_floor, gt_ceil, hf)), raster)
     rmse, delta1 = _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H)
     return {"iou2d": iou_2d, "iou3d": iou_3d, "rmse": rmse, "delta1": delta1}
 

@@ -28,6 +28,7 @@ boundary latitude onto its height plane; it is sign-safe for both floor
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -164,6 +165,16 @@ def column_longitudes(W: int) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(W) + 0.5) / W - math.pi
 
 
+@functools.lru_cache(maxsize=8)
+def _column_trig(W: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin and cos of the W column longitudes, cached per width."""
+    lon = column_longitudes(W)
+    trig = np.sin(lon), np.cos(lon)
+    for a in trig:
+        a.flags.writeable = False
+    return trig
+
+
 def pixel_to_spherical(u, v, W: int, H: int):
     """Map pixel indices to (lon, lat) at pixel centers.
 
@@ -210,11 +221,12 @@ def boundary_to_world(b: SphericalBoundary, pose: CameraPose,
         n_bad = int(np.sum(np.abs(lat) < LAT_MIN))
         raise GeometryError(
             f"{n_bad} boundary column(s) within {LAT_MIN} rad of the horizon")
-    lon = column_longitudes(b.width)
+    sin_lon, cos_lon = _column_trig(b.width)
     rho = h / np.tan(np.abs(lat))
-    s = 1.0 if b.kind == BoundaryKind.FLOOR else -1.0
-    cam = np.stack([rho * np.sin(lon), np.full_like(rho, s * h), rho * np.cos(lon)],
-                   axis=1)
+    cam = np.empty((b.width, 3))
+    np.multiply(rho, sin_lon, out=cam[:, 0])
+    cam[:, 1] = h if b.kind == BoundaryKind.FLOOR else -h
+    np.multiply(rho, cos_lon, out=cam[:, 2])
     world = cam @ pose.rotation.T + pose.translation
     return WorldPolyline(world, source_view, b.kind)
 

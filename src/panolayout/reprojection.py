@@ -5,11 +5,14 @@ and pass the lifts in. Each is mapped into the target camera, and the (lon,
 lat) curve is resampled at the target's column centers. build_stacks yields
 one stack per target, a resampled row per source view, target included.
 
-A stack sends all its sources through one world-to-sphere transform and one
-call of the resampling kernel, and resample_to_columns is the kernel's
-one-curve case. The kernel expands only the segments within the gap limit
-and picks one crossing per column with a scatter-min, not a sort. A stack
-entry's lat is NaN exactly where its valid flag is False.
+Each target maps all its sources through one world-to-sphere transform, and
+consecutive targets share a resampling-kernel call of up to _GROUP_SAMPLES
+samples (a larger target gets its own), which logs one contested-crossing
+count. resample_to_columns is the kernel's one-curve case. The kernel
+expands only the segments within the gap limit and picks one crossing per
+column with a scatter-min keyed by column x curve, so no curve's result
+depends on the others in its call. A stack entry's lat is NaN exactly where
+its valid flag is False.
 
 The kernel takes longitudes in [-pi, pi]: world_to_boundary_samples returns
 arctan2 values, which lie there, and resample_to_columns wraps any other
@@ -42,6 +45,10 @@ DEFAULT_GAP_FACTOR = 4.0
 _TWO_PI = 2.0 * math.pi
 # Slack for offsets that land a hair outside [0, |delta|] through rounding.
 _EPS = 1e-9
+# Samples (targets x sources x W) per build_stacks kernel call. A call's fixed
+# cost (about 0.2 ms on a 2-CPU host) dominates small scenes; above 2^13
+# samples the kernel's temporaries outgrow the cache (see CHANGES.md).
+_GROUP_SAMPLES = 2 ** 13
 
 
 @dataclass
@@ -212,16 +219,34 @@ def build_stacks(scene: Scene, polys: list[WorldPolyline],
 
     polys are the sources' lifts of one kind, from Scene.world_polylines. They
     are merged into one polyline and re-projected into every target, the
-    N x N step of 360-MLC. A caller that reduces each stack as it is yielded
-    holds one (W, N) stack at a time, not one per target.
+    N x N step of 360-MLC, in kernel calls grouped as the module docstring
+    says. A caller that reduces each stack as it is yielded holds one call's
+    (W, N) stacks at a time, not one per target.
     """
     if not polys:
         raise ValueError("no view carries a boundary of the requested kind")
     kind, W = polys[0].kind, scene.image_width
     merged = WorldPolyline(np.concatenate([p.points for p in polys]), "", kind)
     sources = [p.source_view for p in polys]
-    for f in scene.frames if targets is None else map(scene.frame, targets):
-        yield _stack_from_polylines(merged, sources, f.pose, f.view_id, kind, W)
+    frames = scene.frames if targets is None else [scene.frame(t) for t in targets]
+    n = len(sources)
+    per_call = max(1, _GROUP_SAMPLES // (n * W))
+    for g in range(0, len(frames), per_call):
+        group = frames[g:g + per_call]
+        samples = [world_to_boundary_samples(merged, f.pose) for f in group]
+        # A one-target call takes its samples uncopied.
+        batch = samples[0] if len(group) == 1 else np.concatenate(samples)
+        lat, valid, n_contested = _resample_batch(
+            batch.reshape(-1, W, 2), W, DEFAULT_GAP_FACTOR * _TWO_PI / W)
+        if n_contested:
+            logger.debug("resample: %d contested column crossings", n_contested)
+        stacks = [_stack_from_polylines(lat[j * n:(j + 1) * n],
+                                        valid[j * n:(j + 1) * n], sources,
+                                        f.pose, f.view_id, kind)
+                  for j, f in enumerate(group)]
+        # Freed before the yield: held, they raised a refine job's peak 0.14 MB.
+        del samples, batch, lat, valid
+        yield from stacks
 
 
 def build_stack(scene: Scene, target: str, kind: BoundaryKind,
@@ -236,20 +261,15 @@ def build_stack(scene: Scene, target: str, kind: BoundaryKind,
     return next(build_stacks(scene, scene.world_polylines((kind,), view_ids), [target]))
 
 
-def _stack_from_polylines(merged: WorldPolyline, sources: list[str],
-                          dst_pose: CameraPose, target: str, kind: BoundaryKind,
-                          W: int) -> BoundaryStack:
-    """Stack assembly for one target from the merged lifts of its sources.
+def _stack_from_polylines(lat: np.ndarray, valid: np.ndarray,
+                          sources: list[str], dst_pose: CameraPose, target: str,
+                          kind: BoundaryKind) -> BoundaryStack:
+    """One target's stack from its (N, W) rows of a build_stacks kernel call.
 
-    merged holds W points per source, in the order of sources. They go
-    through one world-to-sphere transform and one kernel call; one
-    contested-crossing count is logged per target.
+    Masks entries on the wrong side of the horizon and raises CoverageError,
+    naming the columns, where no entry is left. dst_pose is the target's
+    pose, for callers that check the stack against the target's geometry.
     """
-    samples = world_to_boundary_samples(merged, dst_pose).reshape(len(sources), W, 2)
-    lat, valid, n_contested = _resample_batch(samples, W,
-                                              DEFAULT_GAP_FACTOR * _TWO_PI / W)
-    if n_contested:
-        logger.debug("resample: %d contested column crossings", n_contested)
     # The kernel's results transpose to C-ordered (W, n) arrays: fusion
     # reduces along the view axis, and its summation order follows the
     # memory layout. The stack keeps copies: holding the kernel's own buffers,

@@ -6,11 +6,12 @@ weighted loss the per-column step shrinks where the views disagree. Early
 stopping picks the iteration with the lowest density-map entropy, evaluated
 on grid bounds frozen at iteration zero so values stay comparable, and
 counted sparsely by density_entropy without building the grid. run lifts
-each state once, for both its stacks and its entropy, steps every iteration,
-discarding the last update, and keeps only the best state, not a snapshot
-per evaluation. The trajectory's wbc is measured against each iteration's
-own labels, whose sigma shrinks as views agree, so it can rise while l1
-falls: compare iterations by l1.
+each state once, for its stacks, its entropy and its IoU against the ground
+truth, steps every iteration, discarding the last update, and keeps only the
+best state, not a snapshot per evaluation. The ground truth's floor polygons
+and heights are built once per run. The trajectory's wbc is measured
+against each iteration's own labels, whose sigma shrinks as views agree, so
+it can rise while l1 falls: compare iterations by l1.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .consistency import GRID_SIZE_DEFAULT, PADDING_DEFAULT, check_grid, \
     data_bounds, density_entropy
-from .evaluation import view_ious
-from .geometry import BoundaryKind, SphericalBoundary
+from .evaluation import floor_polygon, footprint_ious
+from .geometry import BoundaryKind, SphericalBoundary, ceiling_height
 from .pseudolabel import SIGMA_FLOOR_DEFAULT, check_fusion, fuse, l1_loss, \
     wbc_loss
 from .reprojection import build_stacks
@@ -153,13 +154,33 @@ def self_train_step(scene: Scene, cfg: TrainConfig, polys):
     return scene.with_boundaries(updates), losses
 
 
-def _mean_iou(scene: Scene) -> tuple[float, float]:
-    vals = []
+def _gt_footprints(scene: Scene):
+    """Per frame, the ground truth's floor polygon and, where the frame and
+    its ground truth both have a ceiling, their (floor, ceiling) heights."""
+    truth = []
     for f in scene.frames:
         gt = scene.view_ground_truth(f.view_id)
-        vals.append(view_ious(f.boundary_floor, f.boundary_ceiling,
-                              gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING),
-                              f.pose, _TRAJECTORY_IOU_RASTER))
+        gt_f, gt_c = gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING)
+        heights = None
+        if f.boundary_ceiling is not None and gt_c is not None:
+            hf = f.pose.floor_height
+            heights = (hf, ceiling_height(gt_f, gt_c, hf))
+        truth.append((floor_polygon(gt_f, f.pose), heights))
+    return truth
+
+
+def _mean_iou(scene: Scene, polys, truth) -> tuple[float, float | None]:
+    """Mean (iou2d, iou3d) over the views against truth (_gt_footprints);
+    each view's floor polygon comes from polys, scene.world_polylines()."""
+    floors = [p.points[:, [0, 2]] for p in polys if p.kind == BoundaryKind.FLOOR]
+    vals = []
+    for f, poly, (poly_g, heights_g) in zip(scene.frames, floors, truth):
+        heights_p = None
+        if heights_g is not None:
+            hf = f.pose.floor_height
+            heights_p = (hf, ceiling_height(f.boundary_floor, f.boundary_ceiling, hf))
+        vals.append(footprint_ious(poly, heights_p, poly_g, heights_g,
+                                   _TRAJECTORY_IOU_RASTER))
     vals3 = [v3 for _, v3 in vals if v3 is not None]
     iou_2d = float(np.mean([v2 for v2, _ in vals]))
     return iou_2d, (float(np.mean(vals3)) if vals3 else None)
@@ -178,7 +199,7 @@ def run(scene: Scene, cfg: TrainConfig):
     check_step(scene, cfg)
     records: list[IterationRecord] = []
     state = best_state = scene
-    best_h, best_iter, bounds = math.inf, 0, None
+    best_h, best_iter, bounds, truth = math.inf, 0, None, None
     for k in range(cfg.max_iters + 1):
         polys = state.world_polylines()   # the one lift of this state
         next_state, losses = self_train_step(state, cfg, polys)   # the last is unused
@@ -188,7 +209,8 @@ def run(scene: Scene, cfg: TrainConfig):
             rec.h_mlc = density_entropy(polys, cfg.grid_size, cfg.grid_size,
                                         cfg.padding, bounds=bounds)
             if scene.ground_truth is not None:
-                rec.iou2d, rec.iou3d = _mean_iou(state)
+                truth = _gt_footprints(scene) if truth is None else truth
+                rec.iou2d, rec.iou3d = _mean_iou(state, polys, truth)
             if rec.h_mlc < best_h:
                 best_h, best_iter, best_state = rec.h_mlc, k, state
         records.append(rec)

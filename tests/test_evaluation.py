@@ -553,6 +553,79 @@ class TestEvenOddRaster:
         assert peak < 16 * 2 ** 20
 
 
+def two_pass_crossing_cells(poly, bounds, raster):
+    """The former per-polygon crossing pass, kept verbatim as an oracle."""
+    xmin, xmax, ymin, ymax = bounds
+    cw = (xmax - xmin) / raster
+    ch = (ymax - ymin) / raster
+    ys = ymin + (np.arange(raster) + 0.5) * ch
+    x1, y1 = poly[:, 0], poly[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    start = np.searchsorted(ys, np.minimum(y1, y2), side="left")
+    count = np.searchsorted(ys, np.maximum(y1, y2), side="left") - start
+    edge = np.repeat(np.arange(poly.shape[0]), count)
+    rows = np.arange(edge.size) + np.repeat(start - np.cumsum(count) + count, count)
+    xc = x1[edge] + (ys[rows] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
+    cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
+    ok = cmin < raster
+    return rows[ok], np.clip(cmin[ok], 0, raster - 1)
+
+
+def two_pass_footprint_counts(pred, gt, bounds, raster):
+    """The former _footprint_counts: one crossing pass per polygon."""
+    keys = []
+    for tag, poly in enumerate((pred, gt)):
+        rows, cmin = two_pass_crossing_cells(poly, bounds, raster)
+        odd = np.flatnonzero(np.bincount(rows, minlength=raster) & 1)
+        keys += [(rows * raster + cmin) << 1 | tag,
+                 (odd * raster + raster) << 1 | tag]
+    tagged = np.sort(np.concatenate(keys))
+    is_gt = tagged & 1
+    in_gt = np.cumsum(is_gt)[:-1] & 1
+    in_pred = np.cumsum(is_gt ^ 1)[:-1] & 1
+    run = np.diff(tagged >> 1)
+    return int(run @ in_pred), int(run @ in_gt), int(run @ (in_pred & in_gt))
+
+
+@st.composite
+def touching_pairs(draw):
+    """(pred, gt, bounds, raster): raster_pairs polygons made self-touching
+    by repeating earlier vertices later in the ring."""
+    pred, gt, bounds, raster = draw(raster_pairs())
+    out = []
+    for poly in (pred, gt):
+        poly = list(poly)
+        for _ in range(draw(st.integers(0, 4))):
+            src = draw(st.integers(0, len(poly) - 1))
+            dst = draw(st.integers(src + 2, len(poly) + 1))
+            poly.insert(dst, poly[src])
+        out.append(np.array(poly))
+    return out[0], out[1], bounds, raster
+
+
+class TestOnePassCrossings:
+    @settings(max_examples=300, deadline=None)
+    @given(touching_pairs())
+    @example((_BOWTIE[0], _BOWTIE[0][:, ::-1], *_BOWTIE[1:]))
+    @example((_BOWTIE[0], _OFF_GRID, *_BOWTIE[1:]))
+    def test_equals_two_pass_counts(self, case):
+        pred, gt, bounds, raster = case
+        assert evaluation._footprint_counts(pred, gt, bounds, raster) == \
+            two_pass_footprint_counts(pred, gt, bounds, raster)
+
+    def test_one_crossing_pass_per_pair(self, monkeypatch):
+        calls = []
+        real = evaluation._crossing_cells
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_crossing_cells", counting)
+        evaluate_scene(generate_scene(square_room(4.0), 3, 64, seed=5), raster=128)
+        assert calls == [2, 2, 2]
+
+
 class TestFootprintIous:
     @settings(max_examples=50, deadline=None)
     @given(raster_cases(), raster_cases(),
@@ -613,6 +686,7 @@ class TestOneRasterPassPerPair:
 
     def test_trajectory_mean_iou(self, raster_calls):
         scene = generate_scene(square_room(4.0), 3, 64, seed=5)
-        iou_2d, iou_3d = selftrain._mean_iou(scene)
+        iou_2d, iou_3d = selftrain._mean_iou(scene, scene.world_polylines(),
+                                             selftrain._gt_footprints(scene))
         assert iou_2d == 1.0 and iou_3d == 1.0
         assert len(raster_calls) == 3

@@ -2,6 +2,7 @@ import logging
 import math
 import re
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,6 +192,31 @@ def noisy_scenes_and_orders(draw):
     scene = perturb(generate_scene(room, n, W, seed=seed), noise)
     kind = draw(st.sampled_from((BoundaryKind.FLOOR, BoundaryKind.CEILING)))
     return scene, kind, draw(st.permutations(range(n)))
+
+
+def _grouped_case(n, W, targets, room=None, kind=BoundaryKind.FLOOR, seed=0):
+    noise = NoiseSpec(boundary_std=0.03, outlier_rate=0.02, outlier_std=0.1,
+                      seed=seed)
+    scene = perturb(generate_scene(room or lshape_room(4.0), n, W, seed=seed),
+                    noise)
+    ids = None if targets is None else [scene.view_ids[j] for j in targets]
+    return scene, kind, ids
+
+
+@st.composite
+def grouped_stack_cases(draw):
+    """(scene, kind, targets): sizes with one target per kernel call (9 x 2048
+    samples a target), several (6 x 128) and a short last call (7 x 512)."""
+    room = draw(st.sampled_from((square_room(4.0), lshape_room(4.0),
+                                 ngon_room(7, 2.0))))
+    n = draw(st.integers(2, 9))
+    W = draw(st.sampled_from((24, 75, 256, 1024, 2048)))
+    kind = draw(st.sampled_from((BoundaryKind.FLOOR, BoundaryKind.CEILING)))
+    targets = None
+    if draw(st.booleans()):
+        targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                unique=True))
+    return _grouped_case(n, W, targets, room, kind, draw(st.integers(0, 2 ** 16)))
 
 
 # Segments 1 and 2 both cross column 4 (longitude 0) at source distance pi/4
@@ -549,18 +575,31 @@ class TestBuildStacks:
                     expected_logs.append(contested)
             assert logged == expected_logs and logged
 
-    def test_one_kernel_call_per_target(self, monkeypatch):
+    def test_kernel_calls_group_targets(self, monkeypatch):
         original = reprojection._resample_batch
         sizes = []
 
         def counting(samples, W, gap_max):
-            sizes.append(samples.shape[0])
+            sizes.append(samples.shape[:2])
             return original(samples, W, gap_max)
 
         monkeypatch.setattr(reprojection, "_resample_batch", counting)
-        scene = generate_scene(square_room(4.0), 9, 128, seed=1)
-        list(build_stacks(scene, scene.world_polylines((BoundaryKind.FLOOR,))))
-        assert sizes == [9] * 9
+        limit = reprojection._GROUP_SAMPLES
+
+        def calls(n, W):
+            sizes.clear()
+            scene = generate_scene(square_room(4.0), n, W, seed=1)
+            list(build_stacks(scene, scene.world_polylines((BoundaryKind.FLOOR,))))
+            return list(sizes)
+
+        # 9 views x 64 columns: all 9 targets x 9 sources fit in one call.
+        assert calls(9, 64) == [(81, 64)]
+        # One target of 5 x 2048 samples is over the limit: a call per target.
+        assert 5 * 2048 > limit
+        assert calls(5, 2048) == [(5, 2048)] * 5
+        # 7 targets of 9 x 128 samples fit in one call, then a short last one.
+        assert calls(9, 128) == [(63, 128), (18, 128)]
+        assert all(m * W <= limit for m, W in sizes)
 
     @settings(max_examples=40, deadline=None)
     @given(noisy_scenes_and_orders())
@@ -604,6 +643,37 @@ class TestBuildStacks:
                     assert np.array_equal(s.lat, ref.lat, equal_nan=True)
                     assert np.array_equal(s.valid, ref.valid)
                     assert s.view_ids == ref.view_ids == ids
+
+    @settings(max_examples=30, deadline=None)
+    @given(grouped_stack_cases())
+    @example(_grouped_case(9, 2048, None))           # one target per call
+    @example(_grouped_case(6, 128, None))            # one call for all targets
+    @example(_grouped_case(7, 512, [6, 0, 3, 4, 2]))  # a short last call
+    def test_grouped_calls_equal_one_call_per_target(self, case):
+        scene, kind, targets = case
+        polys = scene.world_polylines((kind,))
+
+        def stacks():
+            try:
+                return list(build_stacks(scene, polys, targets))
+            except CoverageError as e:   # the same first uncovered target
+                return str(e)
+
+        with logged_contested() as grouped_log:
+            grouped = stacks()
+        with mock.patch.object(reprojection, "_GROUP_SAMPLES", 1), \
+                logged_contested() as single_log:
+            single = stacks()
+        if isinstance(single, str):
+            assert grouped == single
+            return
+        assert len(single_log) <= len(grouped) == len(single)
+        assert sum(grouped_log) == sum(single_log)
+        for g, s in zip(grouped, single):
+            assert g.target_view == s.target_view and g.view_ids == s.view_ids
+            assert g.lat.flags.c_contiguous and g.valid.flags.c_contiguous
+            assert np.array_equal(g.lat, s.lat, equal_nan=True)
+            assert np.array_equal(g.valid, s.valid)
 
     def test_pseudo_label_lifts_each_contributor_once(self, tmp_path,
                                                       monkeypatch):

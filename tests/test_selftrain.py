@@ -13,6 +13,8 @@ from panolayout.evaluation import floor_polygon, footprint_ious, iou2d
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
     ceiling_height
 from panolayout.scene import Scene, ViewFrame
+from panolayout.sceneio import dumps_document, scene_to_document, \
+    write_trajectory_csv
 from panolayout.selftrain import IterationRecord, TrainConfig, TrainTrajectory, \
     _step_losses, fuse_labels, run, select_views, self_train_step
 from panolayout.synth import NoiseSpec, generate_scene, lshape_room, perturb, \
@@ -365,3 +367,70 @@ class TestRunAgainstReference:
         assert [r.h_mlc for r in traj.records] == [1.0] * 4
         for f0, f1 in zip(scene.frames, best.frames):
             assert np.array_equal(f0.boundary_floor.lat, f1.boundary_floor.lat)
+
+
+def _gt_variants():
+    """Ground truth present, with and without ceilings on either side."""
+    noisy = _VARIANTS[True, True]
+    floors = _VARIANTS[False, True]
+    gt_floors = {v: {BoundaryKind.FLOOR: gt[BoundaryKind.FLOOR]}
+                 for v, gt in noisy.ground_truth.items()}
+    return {(ceil, gt_ceil): replace(s, ground_truth=s.ground_truth if gt_ceil
+                                     else gt_floors)
+            for ceil, s in ((True, noisy), (False, replace(
+                floors, ground_truth=noisy.ground_truth)))
+            for gt_ceil in (True, False)}
+
+
+class TestRunWithGroundTruth:
+    @pytest.mark.parametrize("ceilings,gt_ceilings", list(
+        itertools.product((True, False), (True, False))))
+    @pytest.mark.parametrize("max_iters,eval_every", [(0, 1), (3, 1), (3, 2)])
+    def test_rows_and_best_scene_bytes_match_reference(
+            self, tmp_path, ceilings, gt_ceilings, max_iters, eval_every):
+        scene = _gt_variants()[ceilings, gt_ceilings]
+        assert all((f.boundary_ceiling is not None) == ceilings
+                   for f in scene.frames)
+        assert all((BoundaryKind.CEILING in gt) == gt_ceilings
+                   for gt in scene.ground_truth.values())
+        cfg = TrainConfig(max_iters=max_iters, eval_every=eval_every,
+                          grid_size=128)
+        out = {}
+        for name, fn in (("ref", reference_run), ("run", run)):
+            traj, best = fn(scene, cfg)
+            write_trajectory_csv(traj.records, tmp_path / f"{name}.csv")
+            out[name] = (_bits(traj.records), traj.best_iter,
+                         (tmp_path / f"{name}.csv").read_bytes(),
+                         dumps_document(scene_to_document(best)))
+        assert out["run"] == out["ref"]
+        assert all((r.iou2d is None) == (r.h_mlc is None) for r in traj.records)
+        assert all((r.iou3d is None) == (r.h_mlc is None or not gt_ceilings
+                                         or not ceilings) for r in traj.records)
+
+    def test_ground_truth_floors_lifted_once_per_run(self, monkeypatch):
+        # Count world lifts at every module binding of boundary_to_world.
+        import sys
+
+        from panolayout import geometry
+
+        scene = _gt_variants()[True, True]
+        original = geometry.boundary_to_world
+        lifted = []
+
+        def counting(*args, **kwargs):
+            lifted.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("panolayout") and \
+                    getattr(mod, "boundary_to_world", None) is original:
+                monkeypatch.setattr(mod, "boundary_to_world", counting)
+        traj, _ = run(scene, TrainConfig(max_iters=3, eval_every=1, grid_size=128))
+        assert all(r.iou2d is not None for r in traj.records)
+        for gt in scene.ground_truth.values():
+            for kind, b in gt.items():
+                expected = 1 if kind == BoundaryKind.FLOOR else 0
+                assert sum(x is b for x in lifted) == expected
+        # 4 states x N views x 2 kinds, and one lift per ground-truth floor.
+        n = len(scene.frames)
+        assert len(lifted) == 4 * n * 2 + n
