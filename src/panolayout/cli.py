@@ -85,26 +85,21 @@ def cmd_pseudo_label(args) -> int:
     return 0
 
 
-def _density_args(scene, args):
+def _density_cells(scene, args):
+    """(U, V, u, v, phi): the --grid sides and consistency.density_cells."""
     polys = scene.world_polylines((BoundaryKind.FLOOR,)) if args.floor_only \
         else scene.world_polylines()
-    return polys, args.grid[0], args.grid[1], args.padding
+    U, V = args.grid
+    return (U, V, *consistency.density_cells(polys, U, V, args.padding))
 
 
 def cmd_metric(args) -> int:
-    scene = _load(args)
-    density_args = _density_args(scene, args)
-    if args.out_map or args.out:
-        # The grid's entropy equals density_entropy's bit for bit.
-        grid = consistency.density_map(*density_args)
-        h = consistency.mlc_entropy(grid)
-        if args.out_map:
-            consistency.render_density(grid, args.out_map)
-        if args.out:
-            sceneio.write_density_csv(consistency.occupied_cells(grid), args.out)
-    else:
-        h = consistency.density_entropy(*density_args)
-    sys.stdout.write(f"H_MLC={sceneio.format_float(h)}\n")
+    U, V, u, v, phi = _density_cells(_load(args), args)
+    if args.out_map:
+        consistency.write_density_pgm(args.out_map, U, V, u, v, phi)
+    if args.out:
+        sceneio.write_density_csv(consistency.cell_rows(u, v, phi), args.out)
+    sys.stdout.write(f"H_MLC={sceneio.format_float(consistency.cell_entropy(phi))}\n")
     return 0
 
 
@@ -136,9 +131,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_render_density(args) -> int:
-    scene = _load(args)
-    consistency.render_density(consistency.density_map(*_density_args(scene, args)),
-                               args.out)
+    consistency.write_density_pgm(args.out, *_density_cells(_load(args), args))
     return 0
 
 

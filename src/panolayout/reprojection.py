@@ -7,12 +7,13 @@ one stack per target, a resampled row per source view, target included.
 
 Each target maps all its sources through one world-to-sphere transform, and
 consecutive targets share a resampling-kernel call of up to _GROUP_SAMPLES
-samples (a larger target gets its own), which logs one contested-crossing
-count. resample_to_columns is the kernel's one-curve case. The kernel
-expands only the segments within the gap limit and picks one crossing per
-column with a scatter-min keyed by column x curve, so no curve's result
-depends on the others in its call. A stack entry's lat is NaN exactly where
-its valid flag is False.
+samples. A larger target gets its own call, split by source into calls of at
+most _CHUNK_SAMPLES samples past that size. Each call logs one
+contested-crossing count. resample_to_columns is the kernel's one-curve
+case. The kernel expands only the segments within the gap limit and picks
+one crossing per column with a scatter-min keyed by column x curve, so no
+curve's result depends on the others in its call. A stack entry's lat is
+NaN exactly where its valid flag is False.
 
 The kernel takes longitudes in [-pi, pi]: world_to_boundary_samples returns
 arctan2 values, which lie there, and resample_to_columns wraps any other
@@ -49,6 +50,11 @@ _EPS = 1e-9
 # cost (about 0.2 ms on a 2-CPU host) dominates small scenes; above 2^13
 # samples the kernel's temporaries outgrow the cache (see CHANGES.md).
 _GROUP_SAMPLES = 2 ** 13
+# A target of more samples than this is resampled in calls of whole sources
+# up to this size, so a call's temporaries stop growing with N x W. One floor
+# target of a noisy L-room, N=128, W=2048, took 45-51 ms and 31.8 MB traced
+# in one call, 17-19 ms and 10.8 MB in calls of 2^16 samples (2-CPU host).
+_CHUNK_SAMPLES = 2 ** 16
 
 
 @dataclass
@@ -213,6 +219,34 @@ def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
     return (lat > 0.0) & (lat < math.pi / 2)
 
 
+def _resample(curves: np.ndarray, W: int):
+    """_resample_batch's (lat, valid) at the default gap limit; logs the
+    call's contested count."""
+    lat, valid, n_contested = _resample_batch(curves, W,
+                                              DEFAULT_GAP_FACTOR * _TWO_PI / W)
+    if n_contested:
+        logger.debug("resample: %d contested column crossings", n_contested)
+    return lat, valid
+
+
+def _resample_sources(curves: np.ndarray, W: int):
+    """_resample of (m, W, 2) curves in calls of whole curves of at most
+    _CHUNK_SAMPLES samples (at least one curve) each.
+
+    Curves are independent in the kernel, so the chunks' rows are bit for
+    bit those of one call, and their contested counts sum to its count.
+    """
+    m = curves.shape[0]
+    per = max(1, _CHUNK_SAMPLES // W)
+    if m <= per:
+        return _resample(curves, W)
+    lat, valid = np.empty((W, m)), np.empty((W, m), dtype=bool)  # the kernel's layout
+    for s in range(0, m, per):
+        lat_s, valid_s = _resample(curves[s:s + per], W)
+        lat[:, s:s + per], valid[:, s:s + per] = lat_s.T, valid_s.T
+    return lat.T, valid.T
+
+
 def build_stacks(scene: Scene, polys: list[WorldPolyline],
                  targets: list[str] | None = None):
     """Yield the stack of each target (default: all views, in frame order).
@@ -236,10 +270,7 @@ def build_stacks(scene: Scene, polys: list[WorldPolyline],
         samples = [world_to_boundary_samples(merged, f.pose) for f in group]
         # A one-target call takes its samples uncopied.
         batch = samples[0] if len(group) == 1 else np.concatenate(samples)
-        lat, valid, n_contested = _resample_batch(
-            batch.reshape(-1, W, 2), W, DEFAULT_GAP_FACTOR * _TWO_PI / W)
-        if n_contested:
-            logger.debug("resample: %d contested column crossings", n_contested)
+        lat, valid = _resample_sources(batch.reshape(-1, W, 2), W)
         stacks = [_stack_from_polylines(lat[j * n:(j + 1) * n],
                                         valid[j * n:(j + 1) * n], sources,
                                         f.pose, f.view_id, kind)

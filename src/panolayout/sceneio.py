@@ -142,9 +142,16 @@ def scene_to_document(scene: Scene) -> dict:
 
 
 def save_scene(scene: Scene, path) -> None:
-    text = dumps_document(scene_to_document(scene))  # no file on a rejected scene
+    """Write dumps_document(scene_to_document(scene)) to path.
+
+    Every piece is formatted before the file opens, so a rejected scene
+    writes no file; the pieces are written as they are, not joined first.
+    """
+    pieces: list[str] = []
+    _dump(scene_to_document(scene), pieces)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
+        f.writelines(pieces)
+        f.write("\n")
 
 
 def _require(cond: bool, msg: str):

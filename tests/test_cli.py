@@ -332,7 +332,7 @@ class TestErrorHandling:
         assert not out.exists()
 
     def test_underflowing_ceiling_depths_are_2(self, scene_path, tmp_path):
-        # view_ious accepts this view, but its ceiling-row depths underflow
+        # evaluate_view accepts this view, but its ceiling-row depths underflow
         # to 0, which only the map-level depth check reports.
         doc = json.loads(scene_path.read_text())
         W = doc["image_width"]

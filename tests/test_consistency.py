@@ -1,16 +1,24 @@
+import contextlib
+import io
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from panolayout.consistency import DensityGrid, check_grid, data_bounds, \
-    density_entropy, density_map, mlc_entropy, occupied_cells, render_density, \
-    union_bounds
+from panolayout import cli
+from panolayout.consistency import DensityGrid, cell_entropy, cell_rows, \
+    check_grid, data_bounds, density_cells, density_entropy, density_map, \
+    mlc_entropy, occupied_cells, render_density, union_bounds, write_density_pgm
 from panolayout.errors import MetricError
 from panolayout.geometry import BoundaryKind, CameraPose, WorldPolyline
-from panolayout.synth import NoiseSpec, generate_scene, perturb, \
-    scene_from_poses, square_room
+from panolayout.sceneio import format_float, load_scene, save_scene, \
+    write_density_csv
+from panolayout.synth import NoiseSpec, generate_scene, lshape_room, ngon_room, \
+    perturb, scene_from_poses, square_room
 
 from conftest import rotation_about_y
 
@@ -263,3 +271,129 @@ class TestRenderDensity:
         assert cells.shape == (2, 3)
         assert cells[0].tolist() == [0.0, 1.0, 0.75]
         assert cells[1].tolist() == [3.0, 2.0, 0.25]
+
+
+def dense_render_density(grid, path):
+    """The former render_density, which scaled and transposed the whole grid,
+    kept as the oracle."""
+    if not grid.normalized:
+        raise MetricError("density grid is not normalized")
+    peak = float(grid.bins.max())
+    img = np.floor(255.0 * grid.bins / peak + 0.5).astype(np.uint8)
+    U, V = grid.shape
+    with open(path, "wb") as f:
+        f.write(f"P5\n{U} {V}\n255\n".encode("ascii"))
+        f.write(img.T.tobytes(order="C"))
+
+
+def dense_occupied_cells(grid):
+    """The former occupied_cells, kept as the oracle."""
+    u, v = np.nonzero(grid.bins > 0.0)
+    return np.stack([u.astype(float), v.astype(float), grid.bins[u, v]], axis=1)
+
+
+def dense_metric(polylines, U, V, padding, out_map, out, bounds=None):
+    """The former CLI metric --out-map --out, from a U x V grid, kept as the
+    oracle. Returns its stdout line."""
+    grid = density_map(polylines, U, V, padding, bounds)
+    h = mlc_entropy(grid)
+    dense_render_density(grid, out_map)
+    write_density_csv(dense_occupied_cells(grid), out)
+    return f"H_MLC={format_float(h)}\n"
+
+
+def _bytes(*paths):
+    return [Path(p).read_bytes() for p in paths]
+
+
+class TestOutputsFromOccupiedCells:
+    """H_MLC, the PGM and the cell CSV from density_cells equal the dense
+    grid's bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_POLYS, st.integers(2, 300), st.integers(2, 300),
+           st.sampled_from((0.0, 0.05, 1.0)), _BOUNDS)
+    @example([[(2.0, 3.0)]], 7, 3, 0.05, None)                  # one point
+    @example([[(2.0, 3.0), (2.0, 3.0)], [(2.0, 3.0)]], 2, 2, 0.0, None)
+    @example([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]], 5, 2, 0.0,
+             None)                                              # far edges
+    @example([[(0.0, 0.0), (0.0, 24.857846386489907)]], 2, 3, 0.0, None)
+    @example([[(0.0, 0.0)], [(-3.0, 4.0)]], 3, 4, 0.0, (0.0, 1.0, 0.0, 1.0))
+    @example([[(5.0, 5.0)]], 4, 4, 0.0, (0.0, 1.0, 0.0, 1.0))   # empty
+    def test_library_path_matches_dense_oracle(self, polys, U, V, padding, bounds):
+        polylines = [poly_from_xz(p) for p in polys]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            try:
+                expected = dense_metric(polylines, U, V, padding, d / "a.pgm",
+                                        d / "a.csv", bounds)
+            except MetricError:
+                with pytest.raises(MetricError):
+                    density_cells(polylines, U, V, padding, bounds)
+                return
+            u, v, phi = density_cells(polylines, U, V, padding, bounds)
+            write_density_pgm(d / "b.pgm", U, V, u, v, phi)
+            write_density_csv(cell_rows(u, v, phi), d / "b.csv")
+            assert f"H_MLC={format_float(cell_entropy(phi))}\n" == expected
+            assert _bytes(d / "b.pgm", d / "b.csv") == \
+                _bytes(d / "a.pgm", d / "a.csv")
+            grid = density_map(polylines, U, V, padding, bounds)
+            render_density(grid, d / "c.pgm")
+            assert _bytes(d / "c.pgm") == _bytes(d / "a.pgm")
+            assert occupied_cells(grid).tobytes() == \
+                dense_occupied_cells(grid).tobytes()
+
+    def test_render_density_of_signed_grid_matches_dense_oracle(self, tmp_path):
+        # A hand-made grid may hold negative mass; it takes the same casts.
+        bins = np.array([[0.75, -0.25], [0.0, 0.5]])
+        grid = DensityGrid(bins, np.zeros(2), 1.0)
+        render_density(grid, tmp_path / "a.pgm")
+        dense_render_density(grid, tmp_path / "b.pgm")
+        assert _bytes(tmp_path / "a.pgm") == _bytes(tmp_path / "b.pgm")
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from((square_room(4.0), lshape_room(4.0), ngon_room(7, 2.0))),
+           st.integers(1, 5), st.integers(0, 2 ** 16),
+           st.tuples(st.integers(2, 300), st.integers(2, 300)),
+           st.sampled_from((0.0, 0.05, 0.3)), st.booleans())
+    def test_cli_matches_dense_oracle(self, room, n, seed, grid, padding,
+                                      floor_only):
+        scene = perturb(generate_scene(room, n, 64, seed=seed),
+                        NoiseSpec(boundary_std=0.03, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            save_scene(scene, d / "s.json")
+            flags = ["--scene", str(d / "s.json"), "--grid", *map(str, grid),
+                     "--padding", str(padding)] + ["--floor-only"] * floor_only
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["metric", *flags, "--out-map", str(d / "m.pgm"),
+                                 "--out", str(d / "m.csv")]) == 0
+                assert cli.main(["render-density", *flags,
+                                 "--out", str(d / "r.pgm")]) == 0
+            loaded = load_scene(d / "s.json")
+            polys = loaded.world_polylines((BoundaryKind.FLOOR,)) if floor_only \
+                else loaded.world_polylines()
+            assert out.getvalue() == dense_metric(polys, *grid, padding,
+                                                  d / "a.pgm", d / "a.csv")
+            assert _bytes(d / "m.pgm", d / "m.csv", d / "r.pgm") == \
+                _bytes(d / "a.pgm", d / "a.csv", d / "a.pgm")
+
+    def test_metric_at_largest_grid_builds_no_float_grid(self, tmp_path):
+        # A dense 4096 x 4096 grid and its rendering peaked at 384 MB traced.
+        path = tmp_path / "s.json"
+        save_scene(generate_scene(square_room(4.0), 5, 256, seed=7), path)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(["metric", "--scene", str(path), "--grid", "4096",
+                               "4096", "--out-map", str(tmp_path / "m.pgm"),
+                               "--out", str(tmp_path / "m.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and out.getvalue().startswith("H_MLC=")
+        assert peak < 40 * 2 ** 20
+        assert (tmp_path / "m.pgm").stat().st_size == len(b"P5\n4096 4096\n255\n") \
+            + 4096 * 4096

@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from panolayout import reprojection
 from panolayout.errors import CoverageError
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    boundary_to_world, column_longitudes, world_to_boundary_samples
+    WorldPolyline, boundary_to_world, column_longitudes, world_to_boundary_samples
 from panolayout.reprojection import build_stack, build_stacks, \
     resample_to_columns
 from panolayout.scene import Scene, ViewFrame
@@ -650,30 +651,63 @@ class TestBuildStacks:
     @example(_grouped_case(6, 128, None))            # one call for all targets
     @example(_grouped_case(7, 512, [6, 0, 3, 4, 2]))  # a short last call
     def test_grouped_calls_equal_one_call_per_target(self, case):
+        # Also split every call into source chunks of two curves (the last
+        # one short for an odd count), across targets where calls group.
         scene, kind, targets = case
         polys = scene.world_polylines((kind,))
 
-        def stacks():
-            try:
-                return list(build_stacks(scene, polys, targets))
-            except CoverageError as e:   # the same first uncovered target
-                return str(e)
+        def stacks(group=reprojection._GROUP_SAMPLES,
+                   chunk=reprojection._CHUNK_SAMPLES):
+            with mock.patch.object(reprojection, "_GROUP_SAMPLES", group), \
+                    mock.patch.object(reprojection, "_CHUNK_SAMPLES", chunk), \
+                    logged_contested() as log:
+                try:
+                    return list(build_stacks(scene, polys, targets)), log
+                except CoverageError as e:   # the same first uncovered target
+                    return str(e), log
 
-        with logged_contested() as grouped_log:
-            grouped = stacks()
-        with mock.patch.object(reprojection, "_GROUP_SAMPLES", 1), \
-                logged_contested() as single_log:
-            single = stacks()
-        if isinstance(single, str):
-            assert grouped == single
-            return
-        assert len(single_log) <= len(grouped) == len(single)
-        assert sum(grouped_log) == sum(single_log)
-        for g, s in zip(grouped, single):
-            assert g.target_view == s.target_view and g.view_ids == s.view_ids
-            assert g.lat.flags.c_contiguous and g.valid.flags.c_contiguous
-            assert np.array_equal(g.lat, s.lat, equal_nan=True)
-            assert np.array_equal(g.valid, s.valid)
+        single, single_log = stacks(group=1, chunk=2 ** 62)
+        for split, log in (stacks(), stacks(chunk=2 * scene.image_width)):
+            if isinstance(single, str):
+                assert split == single
+                continue
+            assert len(single_log) <= len(split) == len(single)
+            assert sum(log) == sum(single_log)
+            for g, s in zip(split, single):
+                assert g.target_view == s.target_view and g.view_ids == s.view_ids
+                assert g.lat.flags.c_contiguous and g.valid.flags.c_contiguous
+                assert np.array_equal(g.lat, s.lat, equal_nan=True)
+                assert np.array_equal(g.valid, s.valid)
+
+    def test_large_target_resampled_in_bounded_source_chunks(self, monkeypatch):
+        # A noisy L-room target of 128 sources x 2048 columns (2^18 samples)
+        # took 31.8 MB traced in one kernel call and 10.8 MB in 2^16 chunks.
+        scene = perturb(generate_scene(lshape_room(4.0), 128, 2048, seed=0),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=1))
+        polys = scene.world_polylines((BoundaryKind.FLOOR,))
+        merged = WorldPolyline(np.concatenate([p.points for p in polys]), "",
+                               BoundaryKind.FLOOR)
+        curves = world_to_boundary_samples(merged, scene.frames[0].pose)
+        curves = curves.reshape(128, 2048, 2)
+        original, sizes = reprojection._resample_batch, []
+
+        def counting(samples, W, gap_max):
+            sizes.append(samples.shape[:2])
+            return original(samples, W, gap_max)
+
+        monkeypatch.setattr(reprojection, "_resample_batch", counting)
+        tracemalloc.start()
+        try:
+            reprojection._resample_sources(curves, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [(32, 2048)] * 4
+        assert peak < 16 * 2 ** 20
+        # 64 x 1024 is exactly the limit: one call.
+        sizes.clear()
+        reprojection._resample_sources(curves[:64, :1024], 1024)
+        assert sizes == [(64, 1024)]
 
     def test_pseudo_label_lifts_each_contributor_once(self, tmp_path,
                                                       monkeypatch):
