@@ -5,15 +5,16 @@ and pass the lifts in. Each is mapped into the target camera, and the (lon,
 lat) curve is resampled at the target's column centers. build_stacks yields
 one stack per target, a resampled row per source view, target included.
 
-Each target maps all its sources through one world-to-sphere transform, and
-consecutive targets share a resampling-kernel call of up to _GROUP_SAMPLES
-samples. A larger target gets its own call, split by source into calls of at
-most _CHUNK_SAMPLES samples past that size. Each call logs one
-contested-crossing count. resample_to_columns is the kernel's one-curve
-case. The kernel expands only the segments within the gap limit and picks
-one crossing per column with a scatter-min keyed by column x curve, so no
-curve's result depends on the others in its call. A stack entry's lat is
-NaN exactly where its valid flag is False.
+build_stacks orders the (target, source) curves target-major and resamples
+them in kernel calls of whole curves, up to _CALL_SAMPLES samples each, so
+one call may span several small targets or a slice of one large target's
+sources. Each call maps each of its targets' source slices through one
+world-to-sphere transform and logs one contested-crossing count;
+resample_to_columns is the kernel's one-curve case. The kernel expands only
+the segments within the gap limit and picks one crossing per column with a
+scatter-min keyed by column x curve, so no curve's result depends on the
+others in its call. A stack entry's lat is NaN exactly where its valid flag
+is False.
 
 The kernel takes longitudes in [-pi, pi]: world_to_boundary_samples returns
 arctan2 values, which lie there, and resample_to_columns wraps any other
@@ -46,15 +47,11 @@ DEFAULT_GAP_FACTOR = 4.0
 _TWO_PI = 2.0 * math.pi
 # Slack for offsets that land a hair outside [0, |delta|] through rounding.
 _EPS = 1e-9
-# Samples (targets x sources x W) per build_stacks kernel call. A call's fixed
-# cost (about 0.2 ms on a 2-CPU host) dominates small scenes; above 2^13
-# samples the kernel's temporaries outgrow the cache (see CHANGES.md).
-_GROUP_SAMPLES = 2 ** 13
-# A target of more samples than this is resampled in calls of whole sources
-# up to this size, so a call's temporaries stop growing with N x W. One floor
-# target of a noisy L-room, N=128, W=2048, took 45-51 ms and 31.8 MB traced
-# in one call, 17-19 ms and 10.8 MB in calls of 2^16 samples (2-CPU host).
-_CHUNK_SAMPLES = 2 ** 16
+# Samples (curves x W) per build_stacks kernel call: large enough that a
+# call's fixed cost (about 0.2 ms on a 2-CPU host) does not dominate, small
+# enough to bound the call's temporaries. Calls of 2^13 samples were 27-39%
+# slower at 16-64 views x 1024 columns (see CHANGES.md).
+_CALL_SAMPLES = 2 ** 14
 
 
 @dataclass
@@ -114,11 +111,7 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
         # Only these are wrapped: in-range longitudes keep their bits.
         samples = samples.copy()
         samples[outside, 0] = wrap_longitude(lon[outside])
-    if gap_max is None:
-        gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
-    lat, valid, n_contested = _resample_batch(samples[None], W, gap_max)
-    if n_contested:
-        logger.debug("resample: %d contested column crossings", n_contested)
+    lat, valid = _resample(samples[None], W, gap_max)
     return lat[0], valid[0]
 
 
@@ -219,64 +212,57 @@ def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
     return (lat > 0.0) & (lat < math.pi / 2)
 
 
-def _resample(curves: np.ndarray, W: int):
-    """_resample_batch's (lat, valid) at the default gap limit; logs the
-    call's contested count."""
-    lat, valid, n_contested = _resample_batch(curves, W,
-                                              DEFAULT_GAP_FACTOR * _TWO_PI / W)
+def _resample(curves: np.ndarray, W: int, gap_max: float | None):
+    """_resample_batch's (lat, valid), gap_max defaulting to
+    DEFAULT_GAP_FACTOR column widths; logs the call's contested count."""
+    if gap_max is None:
+        gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
+    lat, valid, n_contested = _resample_batch(curves, W, gap_max)
     if n_contested:
         logger.debug("resample: %d contested column crossings", n_contested)
     return lat, valid
-
-
-def _resample_sources(curves: np.ndarray, W: int):
-    """_resample of (m, W, 2) curves in calls of whole curves of at most
-    _CHUNK_SAMPLES samples (at least one curve) each.
-
-    Curves are independent in the kernel, so the chunks' rows are bit for
-    bit those of one call, and their contested counts sum to its count.
-    """
-    m = curves.shape[0]
-    per = max(1, _CHUNK_SAMPLES // W)
-    if m <= per:
-        return _resample(curves, W)
-    lat, valid = np.empty((W, m)), np.empty((W, m), dtype=bool)  # the kernel's layout
-    for s in range(0, m, per):
-        lat_s, valid_s = _resample(curves[s:s + per], W)
-        lat[:, s:s + per], valid[:, s:s + per] = lat_s.T, valid_s.T
-    return lat.T, valid.T
 
 
 def build_stacks(scene: Scene, polys: list[WorldPolyline],
                  targets: list[str] | None = None):
     """Yield the stack of each target (default: all views, in frame order).
 
-    polys are the sources' lifts of one kind, from Scene.world_polylines. They
-    are merged into one polyline and re-projected into every target, the
-    N x N step of 360-MLC, in kernel calls grouped as the module docstring
-    says. A caller that reduces each stack as it is yielded holds one call's
-    (W, N) stacks at a time, not one per target.
+    polys are the sources' lifts of one kind, from Scene.world_polylines. Each
+    is re-projected into every target, the N x N step of 360-MLC, in the
+    kernel calls the module docstring describes. A target's stack is built
+    in a (W, N) buffer of its own and yielded after the call that completes
+    it, so a caller that reduces each stack as it is yielded holds one
+    call's stacks and one unfinished target at a time, not one per target.
     """
     if not polys:
         raise ValueError("no view carries a boundary of the requested kind")
     kind, W = polys[0].kind, scene.image_width
-    merged = WorldPolyline(np.concatenate([p.points for p in polys]), "", kind)
+    points = np.concatenate([p.points for p in polys])
     sources = [p.source_view for p in polys]
     frames = scene.frames if targets is None else [scene.frame(t) for t in targets]
     n = len(sources)
-    per_call = max(1, _GROUP_SAMPLES // (n * W))
-    for g in range(0, len(frames), per_call):
-        group = frames[g:g + per_call]
-        samples = [world_to_boundary_samples(merged, f.pose) for f in group]
-        # A one-target call takes its samples uncopied.
-        batch = samples[0] if len(group) == 1 else np.concatenate(samples)
-        lat, valid = _resample_sources(batch.reshape(-1, W, 2), W)
-        stacks = [_stack_from_polylines(lat[j * n:(j + 1) * n],
-                                        valid[j * n:(j + 1) * n], sources,
-                                        f.pose, f.view_id, kind)
-                  for j, f in enumerate(group)]
+    total, per_call = len(frames) * n, max(1, _CALL_SAMPLES // W)
+    for start in range(0, total, per_call):
+        stop = min(start + per_call, total)
+        # Each target's piece of the call: its sources [a, b).
+        pieces = [(t, max(start - t * n, 0), min(stop - t * n, n))
+                  for t in range(start // n, (stop - 1) // n + 1)]
+        curves = np.concatenate([world_to_boundary_samples(
+            WorldPolyline(points[a * W:b * W], "", kind), frames[t].pose)
+            for t, a, b in pieces])
+        lat, valid = _resample(curves.reshape(-1, W, 2), W, None)
+        stacks = []
+        for t, a, b in pieces:
+            if a == 0:   # C-ordered: fusion's summation order follows the layout
+                t_lat, t_valid = np.empty((W, n)), np.empty((W, n), dtype=bool)
+            r = t * n - start   # the call's row of the target's source 0
+            t_lat[:, a:b], t_valid[:, a:b] = lat[r + a:r + b].T, valid[r + a:r + b].T
+            if b == n:
+                f = frames[t]
+                stacks.append(_stack_from_polylines(t_lat, t_valid, sources,
+                                                    f.pose, f.view_id, kind))
         # Freed before the yield: held, they raised a refine job's peak 0.14 MB.
-        del samples, batch, lat, valid
+        del curves, lat, valid
         yield from stacks
 
 
@@ -295,18 +281,13 @@ def build_stack(scene: Scene, target: str, kind: BoundaryKind,
 def _stack_from_polylines(lat: np.ndarray, valid: np.ndarray,
                           sources: list[str], dst_pose: CameraPose, target: str,
                           kind: BoundaryKind) -> BoundaryStack:
-    """One target's stack from its (N, W) rows of a build_stacks kernel call.
+    """One target's stack from its C-ordered (W, N) lat and valid buffers,
+    which it masks in place and keeps.
 
     Masks entries on the wrong side of the horizon and raises CoverageError,
     naming the columns, where no entry is left. dst_pose is the target's
     pose, for callers that check the stack against the target's geometry.
     """
-    # The kernel's results transpose to C-ordered (W, n) arrays: fusion
-    # reduces along the view axis, and its summation order follows the
-    # memory layout. The stack keeps copies: holding the kernel's own buffers,
-    # allocated among its temporaries, raised a refine job's peak RSS by
-    # about 1.5 MB.
-    lat, valid = lat.T.copy(), valid.T.copy()
     valid &= _lat_in_range(lat, kind)
     lat[~valid] = np.nan
     empty = np.flatnonzero(~valid.any(axis=1))

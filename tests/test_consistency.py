@@ -50,10 +50,12 @@ def reference_density_map(polylines, U, V, padding, bounds=None):
     in_x = ((x >= ox) & (x <= ox + U * cell)) | ((x >= xmin - pad_x) & (x <= xmax + pad_x))
     in_z = ((z >= oz) & (z <= oz + V * cell)) | ((z >= zmin - pad_z) & (z <= zmax + pad_z))
     inside = in_x & in_z
-    iu = np.clip(np.floor((x - ox) / cell).astype(np.int64), 0, U - 1)
-    iv = np.clip(np.floor((z - oz) / cell).astype(np.int64), 0, V - 1)
+    # Only points inside are cast: outside ones may be far more cells away
+    # than int64 holds when the bounds box is denormal-thin.
+    iu = np.clip(np.floor((x[inside] - ox) / cell).astype(np.int64), 0, U - 1)
+    iv = np.clip(np.floor((z[inside] - oz) / cell).astype(np.int64), 0, V - 1)
     counts = np.zeros((U, V), dtype=np.int64)
-    np.add.at(counts, (iu[inside], iv[inside]), 1)
+    np.add.at(counts, (iu, iv), 1)
     total = int(counts.sum())
     bins = counts / total if total > 0 else counts.astype(float)
     return DensityGrid(bins, np.array([ox, oz]), cell), total
@@ -133,6 +135,7 @@ class TestSparseCounts:
            st.sampled_from((0.0, 0.05, 1.0)), _BOUNDS)
     @example([[(0.0, 0.0), (0.0, 24.857846386489907)]], 2, 3, 0.0, None)
     @example([[(0.0, 0.0), (60.0, 60.0)]], 512, 512, 0.05, (0.0, 1.0, 0.0, 1.0))
+    @example([[(1.0, 0.0)]], 2, 2, 0.0, (0.0, 0.0, 0.0, 3.1963473829453225e-209))
     def test_matches_dense_reference_bit_for_bit(self, polys, U, V, padding,
                                                  bounds):
         polylines = [poly_from_xz(p) for p in polys]

@@ -145,6 +145,48 @@ def logged_contested():
         logger.setLevel(level)
 
 
+# build_stacks as it was before calls packed (target, source) curves, kept as
+# the oracle for the packing: consecutive targets grouped up to 2^13 samples,
+# a larger target split by source into calls of at most 2^16 samples, and
+# each stack a transposed copy of its kernel rows.
+_REF_GROUP_SAMPLES = 2 ** 13
+_REF_CHUNK_SAMPLES = 2 ** 16
+
+
+def _reference_resample_sources(curves, W):
+    m = curves.shape[0]
+    per = max(1, _REF_CHUNK_SAMPLES // W)
+    if m <= per:
+        return reprojection._resample(curves, W, None)
+    lat, valid = np.empty((W, m)), np.empty((W, m), dtype=bool)  # the kernel's layout
+    for s in range(0, m, per):
+        lat_s, valid_s = reprojection._resample(curves[s:s + per], W, None)
+        lat[:, s:s + per], valid[:, s:s + per] = lat_s.T, valid_s.T
+    return lat.T, valid.T
+
+
+def reference_build_stacks(scene, polys, targets=None):
+    if not polys:
+        raise ValueError("no view carries a boundary of the requested kind")
+    kind, W = polys[0].kind, scene.image_width
+    merged = WorldPolyline(np.concatenate([p.points for p in polys]), "", kind)
+    sources = [p.source_view for p in polys]
+    frames = scene.frames if targets is None else [scene.frame(t) for t in targets]
+    n = len(sources)
+    per_call = max(1, _REF_GROUP_SAMPLES // (n * W))
+    for g in range(0, len(frames), per_call):
+        group = frames[g:g + per_call]
+        samples = [world_to_boundary_samples(merged, f.pose) for f in group]
+        # A one-target call takes its samples uncopied.
+        batch = samples[0] if len(group) == 1 else np.concatenate(samples)
+        lat, valid = _reference_resample_sources(batch.reshape(-1, W, 2), W)
+        stacks = [reprojection._stack_from_polylines(
+            lat[j * n:(j + 1) * n].T.copy(), valid[j * n:(j + 1) * n].T.copy(),
+            sources, f.pose, f.view_id, kind) for j, f in enumerate(group)]
+        del samples, batch, lat, valid
+        yield from stacks
+
+
 # Tiny (everything gap-invalid), the default, and huge (everything gap-valid).
 _GAP_MAX = (1e-9, None, 0.5, 1e9)
 
@@ -206,8 +248,8 @@ def _grouped_case(n, W, targets, room=None, kind=BoundaryKind.FLOOR, seed=0):
 
 @st.composite
 def grouped_stack_cases(draw):
-    """(scene, kind, targets): sizes with one target per kernel call (9 x 2048
-    samples a target), several (6 x 128) and a short last call (7 x 512)."""
+    """(scene, kind, targets): sizes where kernel calls split targets (9 x 2048
+    samples a target), hold several (6 x 128) or span target boundaries."""
     room = draw(st.sampled_from((square_room(4.0), lshape_room(4.0),
                                  ngon_room(7, 2.0))))
     n = draw(st.integers(2, 9))
@@ -585,7 +627,7 @@ class TestBuildStacks:
             return original(samples, W, gap_max)
 
         monkeypatch.setattr(reprojection, "_resample_batch", counting)
-        limit = reprojection._GROUP_SAMPLES
+        limit = reprojection._CALL_SAMPLES
 
         def calls(n, W):
             sizes.clear()
@@ -595,18 +637,20 @@ class TestBuildStacks:
 
         # 9 views x 64 columns: all 9 targets x 9 sources fit in one call.
         assert calls(9, 64) == [(81, 64)]
-        # One target of 5 x 2048 samples is over the limit: a call per target.
-        assert 5 * 2048 > limit
-        assert calls(5, 2048) == [(5, 2048)] * 5
-        # 7 targets of 9 x 128 samples fit in one call, then a short last one.
-        assert calls(9, 128) == [(63, 128), (18, 128)]
+        # 16 x 1024 samples are exactly the limit: one call per target.
+        assert 16 * 1024 == limit
+        assert calls(16, 1024) == [(16, 1024)] * 16
+        # 8 curves of 2048 columns a call, spanning target boundaries: the 25
+        # curves of 5 targets x 5 sources take calls of 8, 8, 8 and 1.
+        assert calls(5, 2048) == [(8, 2048)] * 3 + [(1, 2048)]
         assert all(m * W <= limit for m, W in sizes)
 
     @settings(max_examples=40, deadline=None)
     @given(noisy_scenes_and_orders())
     def test_source_order_permutes_columns(self, case):
-        # Sources share one world-to-sphere transform and one kernel call, so
-        # this checks that a source's column does not depend on its neighbours.
+        # A source's curve shares its transform and kernel call with other
+        # sources in either order, so this checks that its column does not
+        # depend on its neighbours.
         scene, kind, order = case
         ids = [scene.view_ids[j] for j in order]
         full = build_stacks(scene, scene.world_polylines((kind,)))
@@ -647,67 +691,55 @@ class TestBuildStacks:
 
     @settings(max_examples=30, deadline=None)
     @given(grouped_stack_cases())
-    @example(_grouped_case(9, 2048, None))           # one target per call
+    @example(_grouped_case(9, 2048, None))           # targets split across calls
     @example(_grouped_case(6, 128, None))            # one call for all targets
     @example(_grouped_case(7, 512, [6, 0, 3, 4, 2]))  # a short last call
-    def test_grouped_calls_equal_one_call_per_target(self, case):
-        # Also split every call into source chunks of two curves (the last
-        # one short for an odd count), across targets where calls group.
+    def test_packed_calls_equal_grouped_and_chunked_calls(self, case):
+        # Budgets below one curve and of exactly one (one curve a call either
+        # way), of 2.5 curves (two whole curves a call), of all but one source
+        # of a target, and the default.
         scene, kind, targets = case
         polys = scene.world_polylines((kind,))
+        n, W = len(polys), scene.image_width
 
-        def stacks(group=reprojection._GROUP_SAMPLES,
-                   chunk=reprojection._CHUNK_SAMPLES):
-            with mock.patch.object(reprojection, "_GROUP_SAMPLES", group), \
-                    mock.patch.object(reprojection, "_CHUNK_SAMPLES", chunk), \
-                    logged_contested() as log:
+        def stacks(build):
+            with logged_contested() as log:
                 try:
-                    return list(build_stacks(scene, polys, targets)), log
+                    return list(build(scene, polys, targets)), log
                 except CoverageError as e:   # the same first uncovered target
                     return str(e), log
 
-        single, single_log = stacks(group=1, chunk=2 ** 62)
-        for split, log in (stacks(), stacks(chunk=2 * scene.image_width)):
-            if isinstance(single, str):
-                assert split == single
+        ref, ref_log = stacks(reference_build_stacks)
+        for budget in (1, W, 2 * W + W // 2, (n - 1) * W,
+                       reprojection._CALL_SAMPLES):
+            with mock.patch.object(reprojection, "_CALL_SAMPLES", budget):
+                packed, log = stacks(build_stacks)
+            if isinstance(ref, str):
+                assert packed == ref
                 continue
-            assert len(single_log) <= len(split) == len(single)
-            assert sum(log) == sum(single_log)
-            for g, s in zip(split, single):
+            assert sum(log) == sum(ref_log)
+            assert len(packed) == len(ref)
+            for g, s in zip(packed, ref):
                 assert g.target_view == s.target_view and g.view_ids == s.view_ids
                 assert g.lat.flags.c_contiguous and g.valid.flags.c_contiguous
                 assert np.array_equal(g.lat, s.lat, equal_nan=True)
                 assert np.array_equal(g.valid, s.valid)
 
-    def test_large_target_resampled_in_bounded_source_chunks(self, monkeypatch):
-        # A noisy L-room target of 128 sources x 2048 columns (2^18 samples)
-        # took 31.8 MB traced in one kernel call and 10.8 MB in 2^16 chunks.
+    def test_large_target_peak_bounded(self):
+        # One floor target of a noisy L-room with 128 sources x 2048 columns
+        # (2^18 samples) took 28.0 MB traced when all its sources went through
+        # one world-to-sphere transform; the lifts are made before tracing.
         scene = perturb(generate_scene(lshape_room(4.0), 128, 2048, seed=0),
                         NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=1))
         polys = scene.world_polylines((BoundaryKind.FLOOR,))
-        merged = WorldPolyline(np.concatenate([p.points for p in polys]), "",
-                               BoundaryKind.FLOOR)
-        curves = world_to_boundary_samples(merged, scene.frames[0].pose)
-        curves = curves.reshape(128, 2048, 2)
-        original, sizes = reprojection._resample_batch, []
-
-        def counting(samples, W, gap_max):
-            sizes.append(samples.shape[:2])
-            return original(samples, W, gap_max)
-
-        monkeypatch.setattr(reprojection, "_resample_batch", counting)
         tracemalloc.start()
         try:
-            reprojection._resample_sources(curves, 2048)
+            stack = next(build_stacks(scene, polys, [scene.view_ids[0]]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sizes == [(32, 2048)] * 4
+        assert stack.lat.shape == (2048, 128)
         assert peak < 16 * 2 ** 20
-        # 64 x 1024 is exactly the limit: one call.
-        sizes.clear()
-        reprojection._resample_sources(curves[:64, :1024], 1024)
-        assert sizes == [(64, 1024)]
 
     def test_pseudo_label_lifts_each_contributor_once(self, tmp_path,
                                                       monkeypatch):
