@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from panolayout import NoiseSpec, data_bounds, density_map, generate_scene, \
-    mlc_entropy, perturb, render_density, square_room, union_bounds
+    mlc_entropy, perturb, square_room, union_bounds
+from panolayout.consistency import cell_entropy, density_cells, write_density_pgm
 
 SEED = 11
 OUT_DIR = Path("demo_out")
@@ -41,11 +42,14 @@ def main():
         occupied = int(np.sum(grid.bins > 0))
         print(f"  {lv:15.3f} | {occupied:14d} | {h:.4f}")
 
+    # The PGMs come from the occupied cells alone, as CLI metric --out-map
+    # writes them: no 512 x 512 float grid is built.
     for lv, name in [(0.0, "clean"), (0.05, "noisy")]:
-        grid = density_map(scenes[lv].world_polylines(), 512, 512, bounds=bounds)
+        u, v, phi = density_cells(scenes[lv].world_polylines(), 512, 512,
+                                  bounds=bounds)
         path = OUT_DIR / f"density_{name}.pgm"
-        render_density(grid, path)
-        print(f"wrote {path} (H = {mlc_entropy(grid):.4f})")
+        write_density_pgm(path, 512, 512, u, v, phi)
+        print(f"wrote {path} (H = {cell_entropy(phi):.4f})")
     print("open the PGMs side by side: the clean scene is a crisp wall ring,"
           " the noisy one a smeared cloud")
 

@@ -9,7 +9,7 @@ consensus-refinement loop with entropy-based early stopping (selftrain).
 """
 
 from .consistency import DensityGrid, data_bounds, density_entropy, density_map, \
-    mlc_entropy, render_density, union_bounds
+    mlc_entropy, union_bounds
 from .errors import CoverageError, GeometryError, LayoutError, MetricError, \
     SceneFormatError
 from .evaluation import LayoutEvalReport, depth_metrics, evaluate_scene, \
@@ -39,7 +39,7 @@ __all__ = [
     "floor_polygon", "footprint_ious", "fuse", "generate_scene", "iou2d",
     "iou3d", "l1_loss", "layout_depth", "load_scene", "lshape_room",
     "mlc_entropy", "ngon_room", "perturb", "pixel_to_spherical",
-    "render_density", "resample_to_columns", "run", "save_scene",
+    "resample_to_columns", "run", "save_scene",
     "scene_from_poses", "self_train_step", "square_room", "union_bounds",
     "wbc_loss", "world_to_boundary_samples",
 ]

@@ -10,12 +10,9 @@ The histogram is counted sparsely: one np.unique over the points' flat cell
 indices gives the occupied cells and their counts. density_map scatters
 those into a U x V grid. density_cells lists them as (u, v, phi), and the
 entropy, the PGM and the cell rows are made from that list, so CLI metric
-and render-density build no U x V float array: the PGM is written from one
-zeroed U*V byte buffer. On a 5-view, 256-column scene at the largest grid
-(4096 x 4096), metric --out-map --out peaked at 384 MB traced and took
-0.45 s when it built the grid; it peaks at 16 MB and takes 0.04 s without
-(2-CPU host). render_density and occupied_cells take a grid's nonzero cells
-through the same writer and rows.
+and render-density build no U x V float array, whose memory would grow with
+the grid rather than with the points: the PGM is written from one zeroed
+U*V byte buffer.
 """
 
 from __future__ import annotations
@@ -195,24 +192,6 @@ def write_density_pgm(path, U: int, V: int, u: np.ndarray, v: np.ndarray,
         f.write(img)  # the buffer itself: no bytes copy
 
 
-def render_density(grid: DensityGrid, path) -> None:
-    """Write the grid as an 8-bit binary PGM (P5), scaled to the peak cell.
-
-    Image rows are the V axis (z), columns the U axis (x); identical grids
-    produce byte-identical files.
-    """
-    if not grid.normalized:
-        raise MetricError("density grid is not normalized")
-    u, v = np.nonzero(grid.bins)
-    write_density_pgm(path, *grid.shape, u, v, grid.bins[u, v])
-
-
 def cell_rows(u: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """(k, 3) array of (u, v, phi) rows, as sceneio.write_density_csv takes."""
     return np.stack([u.astype(float), v.astype(float), phi], axis=1)
-
-
-def occupied_cells(grid: DensityGrid) -> np.ndarray:
-    """(k, 3) array of (u, v, phi) rows for cells with positive mass."""
-    u, v = np.nonzero(grid.bins > 0.0)
-    return cell_rows(u, v, grid.bins[u, v])

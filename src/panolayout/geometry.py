@@ -41,6 +41,11 @@ from .errors import GeometryError
 # radius; they are rejected instead of producing huge coordinates.
 LAT_MIN = 1e-4
 
+# Largest |translation| entry, height and footprint coordinate, in meters:
+# far beyond any room, and small enough that no squared world coordinate
+# overflows.
+MAX_METERS = 1e6
+
 # Evaluation-convention camera height, used when an input omits it.
 DEFAULT_CAMERA_HEIGHT = 1.6
 
@@ -231,13 +236,14 @@ def boundary_to_world(b: SphericalBoundary, pose: CameraPose,
     return WorldPolyline(world, source_view, b.kind)
 
 
-def world_to_boundary_samples(poly: WorldPolyline, pose: CameraPose) -> np.ndarray:
+def world_to_boundary_samples(poly: WorldPolyline | np.ndarray,
+                              pose: CameraPose) -> np.ndarray:
     """Map world points into a camera's spherical coordinates.
 
-    Returns an (n, 2) array of (lon, lat) samples in input order; no
-    resampling is performed. lon = atan2(x, z) and lat = asin(-y) on the
-    normalized camera-frame point, so floor points map to negative
-    latitudes.
+    poly is a WorldPolyline or its (n, 3) points array. Returns an (n, 2)
+    array of (lon, lat) samples in input order; no resampling is performed.
+    lon = atan2(x, z) and lat = asin(-y) on the normalized camera-frame
+    point, so floor points map to negative latitudes.
 
     Raises GeometryError if any point coincides with the camera center.
     """
@@ -245,7 +251,7 @@ def world_to_boundary_samples(poly: WorldPolyline, pose: CameraPose) -> np.ndarr
     # row division: the same operations on the same values in the same order
     # (the norm sums x*x + y*y + z*z left to right, as np.add.reduce does over
     # three elements), without numpy loops over a length-3 inner axis.
-    pts = poly.points
+    pts = getattr(poly, "points", poly)
     d = np.empty_like(pts)
     for k in range(3):
         np.subtract(pts[:, k], pose.translation[k], out=d[:, k])

@@ -48,9 +48,8 @@ _TWO_PI = 2.0 * math.pi
 # Slack for offsets that land a hair outside [0, |delta|] through rounding.
 _EPS = 1e-9
 # Samples (curves x W) per build_stacks kernel call: large enough that a
-# call's fixed cost (about 0.2 ms on a 2-CPU host) does not dominate, small
-# enough to bound the call's temporaries. Calls of 2^13 samples were 27-39%
-# slower at 16-64 views x 1024 columns (see CHANGES.md).
+# call's fixed cost does not dominate (smaller calls were measurably slower,
+# see CHANGES.md), small enough to bound the call's temporaries.
 _CALL_SAMPLES = 2 ** 14
 
 
@@ -248,8 +247,7 @@ def build_stacks(scene: Scene, polys: list[WorldPolyline],
         pieces = [(t, max(start - t * n, 0), min(stop - t * n, n))
                   for t in range(start // n, (stop - 1) // n + 1)]
         curves = np.concatenate([world_to_boundary_samples(
-            WorldPolyline(points[a * W:b * W], "", kind), frames[t].pose)
-            for t, a, b in pieces])
+            points[a * W:b * W], frames[t].pose) for t, a, b in pieces])
         lat, valid = _resample(curves.reshape(-1, W, 2), W, None)
         stacks = []
         for t, a, b in pieces:
@@ -261,7 +259,7 @@ def build_stacks(scene: Scene, polys: list[WorldPolyline],
                 f = frames[t]
                 stacks.append(_stack_from_polylines(t_lat, t_valid, sources,
                                                     f.pose, f.view_id, kind))
-        # Freed before the yield: held, they raised a refine job's peak 0.14 MB.
+        # Freed before the yield: held, they would raise the caller's peak memory.
         del curves, lat, valid
         yield from stacks
 

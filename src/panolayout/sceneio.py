@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import SceneFormatError
-from .geometry import BoundaryKind, CameraPose, DEFAULT_CAMERA_HEIGHT, \
-    SphericalBoundary, latitude_to_row, row_to_latitude
+from .geometry import BoundaryKind, CameraPose, DEFAULT_CAMERA_HEIGHT, MAX_METERS, \
+    SphericalBoundary, row_to_latitude
 from .pseudolabel import PseudoLabel
 from .reprojection import BoundaryStack
 from .scene import Scene, ViewFrame
@@ -30,11 +30,6 @@ SCENE_VERSION = "1"
 # the strict pose tolerance they are projected back onto SO(3).
 _LOAD_ROTATION_TOL = 1e-6
 _STRICT_ROTATION_TOL = 1e-9
-
-# Largest |translation| entry and floor_height accepted on load, in meters.
-# Far beyond any room, and small enough that no squared world coordinate
-# overflows.
-_MAX_METERS = 1e6
 
 
 def format_float(x: float) -> str:
@@ -187,6 +182,25 @@ def _parse_boundary(values, kind: BoundaryKind, W: int, ctx: str,
         raise SceneFormatError(f"{ctx}: {e}") from e
 
 
+def _parse_pair(record: dict, W: int, ctx: str, pixel_rows: bool, H: int):
+    """A frame's or ground-truth record's (floor, ceiling) boundaries: the
+    floor is required, the ceiling None when absent."""
+    bf = _parse_boundary(record.get("boundary_floor"), BoundaryKind.FLOOR,
+                         W, ctx, pixel_rows, H)
+    _require(bf is not None, f"{ctx}: boundary_floor is required")
+    return bf, _parse_boundary(record.get("boundary_ceiling"), BoundaryKind.CEILING,
+                               W, ctx, pixel_rows, H)
+
+
+def _entries(doc: dict, key: str, frame_ids):
+    """(id, ctx, record) for each record of doc[key]; each must name a frame."""
+    for record in _records(doc[key], key):
+        vid = record.get("id")
+        ctx = f"{key} {vid!r}"
+        _require(isinstance(vid, str) and vid in frame_ids, f"{ctx}: names no frame")
+        yield vid, ctx, record
+
+
 def _parse_rotation(values, ctx: str) -> np.ndarray:
     R = _array(values, float, ctx, "rotation")
     _require(R.shape == (9,), f"{ctx}: rotation must be 9 row-major floats")
@@ -203,17 +217,17 @@ def _parse_rotation(values, ctx: str) -> np.ndarray:
     return R
 
 
-def _strings(value):
-    """Every string in a JSON value, dict keys included."""
+def _leaves(value):
+    """Every string and number in a JSON value, dict keys included."""
     stack = [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, str):
-            yield v
-        elif isinstance(v, dict):
+        if isinstance(v, dict):
             stack += [*v.keys(), *v.values()]
         elif isinstance(v, list):
             stack += v
+        else:
+            yield v
 
 
 def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
@@ -241,7 +255,7 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
         R = _parse_rotation(pose_doc.get("rotation"), ctx)
         t = _array(pose_doc.get("translation"), float, ctx, "translation")
         _require(t.shape == (3,), f"{ctx}: translation must be a 3-vector")
-        _require(bool(np.all(np.abs(t) <= _MAX_METERS)),
+        _require(bool(np.all(np.abs(t) <= MAX_METERS)),
                  f"{ctx}: translation entries must lie in [-1e6, 1e6] m")
         h = rf.get("floor_height")
         if h is None:
@@ -249,13 +263,9 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
             logger.warning("%s: floor_height missing, defaulting to %.1f m",
                            ctx, DEFAULT_CAMERA_HEIGHT)
         _require(isinstance(h, (int, float)) and not isinstance(h, bool)
-                 and 0 < h <= _MAX_METERS,
+                 and 0 < h <= MAX_METERS,
                  f"{ctx}: floor_height must be a positive number <= 1e6 m")
-        bf = _parse_boundary(rf.get("boundary_floor"), BoundaryKind.FLOOR,
-                             W, ctx, pixel_rows, H)
-        _require(bf is not None, f"{ctx}: boundary_floor is required")
-        bc = _parse_boundary(rf.get("boundary_ceiling"), BoundaryKind.CEILING,
-                             W, ctx, pixel_rows, H)
+        bf, bc = _parse_pair(rf, W, ctx, pixel_rows, H)
         try:
             pose = CameraPose(R, t, float(h))
         except ValueError as e:
@@ -266,29 +276,16 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     ground_truth = None
     if doc.get("ground_truth") is not None:
         ground_truth = {}
-        for rg in _records(doc["ground_truth"], "ground_truth"):
-            vid = rg.get("id")
-            ctx = f"ground_truth {vid!r}"
-            _require(isinstance(vid, str) and vid in frame_ids,
-                     f"{ctx}: names no frame")
-            bf = _parse_boundary(rg.get("boundary_floor"), BoundaryKind.FLOOR,
-                                 W, ctx, pixel_rows, H)
-            _require(bf is not None, f"{ctx}: boundary_floor is required")
-            entry = {BoundaryKind.FLOOR: bf}
-            bc = _parse_boundary(rg.get("boundary_ceiling"), BoundaryKind.CEILING,
-                                 W, ctx, pixel_rows, H)
+        for vid, ctx, rg in _entries(doc, "ground_truth", frame_ids):
+            bf, bc = _parse_pair(rg, W, ctx, pixel_rows, H)
+            ground_truth[vid] = {BoundaryKind.FLOOR: bf}
             if bc is not None:
-                entry[BoundaryKind.CEILING] = bc
-            ground_truth[vid] = entry
+                ground_truth[vid][BoundaryKind.CEILING] = bc
 
     pseudo_labels = None
     if doc.get("pseudo_labels") is not None:
         pseudo_labels = {}
-        for rp in _records(doc["pseudo_labels"], "pseudo_labels"):
-            vid = rp.get("id")
-            ctx = f"pseudo_labels {vid!r}"
-            _require(isinstance(vid, str) and vid in frame_ids,
-                     f"{ctx}: names no frame")
+        for vid, ctx, rp in _entries(doc, "pseudo_labels", frame_ids):
             lat_bar = _array(rp.get("lat_bar"), float, ctx, "lat_bar")
             sigma = _array(rp.get("sigma"), float, ctx, "sigma")
             support = _array(rp.get("support"), float, ctx, "support")
@@ -305,8 +302,12 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
 
     meta = doc.get("meta") or {}
     _require(isinstance(meta, dict), "meta must be a JSON object")
-    _require(not any(map(_has_control, _strings(meta))),
+    leaves = list(_leaves(meta))
+    _require(not any(isinstance(v, str) and _has_control(v) for v in leaves),
              "meta: control characters are not allowed in strings")
+    # NaN, Infinity and 1e999 load as floats that no scene file can hold.
+    _require(all(math.isfinite(v) for v in leaves if isinstance(v, float)),
+             "meta: numbers must be finite")
     try:
         return Scene(frames, W, H, ground_truth, pseudo_labels, meta)
     except SceneFormatError:
@@ -316,11 +317,13 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
 
 
 def load_scene(path, pixel_rows: bool = False) -> Scene:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # beyond Python's digit limit; RecursionError, nesting too deep.
+        try:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise SceneFormatError(f"{path}: invalid JSON: {e}") from e
+        except (ValueError, RecursionError) as e:
+            raise SceneFormatError(f"{path}: invalid JSON: {e}") from e
     return document_to_scene(doc, pixel_rows=pixel_rows)
 
 
@@ -373,9 +376,3 @@ def write_report_csv(report, path) -> None:
 def write_report_json(report, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(dumps_document(dataclasses.asdict(report)))
-
-
-def boundary_to_rows(b: SphericalBoundary, H: int) -> np.ndarray:
-    """Boundary latitudes as fractional pixel rows (export counterpart of
-    the --pixel-rows import path)."""
-    return latitude_to_row(b.lat, H)

@@ -33,8 +33,8 @@ from .scene import Scene
 LOSSES = ("wbc", "l1")
 
 _TRAJECTORY_IOU_RASTER = 512
-# A re-projected sample costs about 250 ns on a 2-CPU host: a step over
-# 128 views of 2,048 columns, exactly at this limit, took 16 s for both kinds.
+# A fusion pass's time grows with its re-projected samples; this limit
+# (128 views of 2,048 columns) keeps one step to seconds, not minutes.
 MAX_STEP_SAMPLES = 2 ** 25
 
 

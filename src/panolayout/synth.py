@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import BoundaryKind, CameraPose, SphericalBoundary, LAT_MIN, \
-    column_longitudes, wrap_longitude
+    MAX_METERS, column_longitudes, wrap_longitude
 from .scene import Scene, ViewFrame
-from .sceneio import _MAX_METERS
 
 RNG_NAME = "numpy-pcg64-seedsequence"
 
@@ -48,13 +47,13 @@ class RoomSpec:
         object.__setattr__(self, "footprint", poly)
         if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
             raise ValueError(f"footprint must be (M>=3, 2), got {poly.shape}")
-        if not np.all(np.abs(poly) <= _MAX_METERS):  # the loader's bound
+        if not np.all(np.abs(poly) <= MAX_METERS):  # the loader's bound
             raise ValueError("footprint must be finite and within 1e6 m")
         if _signed_area(poly) <= 0.0:
             raise ValueError("footprint must be counter-clockwise with area > 0")
         if _self_intersects(poly):
             raise ValueError("footprint must be a simple polygon")
-        if not all(0.0 < h <= _MAX_METERS for h in (self.h_floor, self.h_ceil)):
+        if not all(0.0 < h <= MAX_METERS for h in (self.h_floor, self.h_ceil)):
             raise ValueError("h_floor and h_ceil must lie in (0, 1e6] m")
         # Farther walls would lie within LAT_MIN of the horizon: no lift.
         span = float(np.max(np.linalg.norm(poly[:, None] - poly, axis=-1)))
@@ -129,7 +128,7 @@ def lshape_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) ->
 def ngon_room(sides: int = 6, radius: float = 2.0, h_floor: float = 1.6,
               h_ceil: float = 0.9) -> RoomSpec:
     # The simple-polygon check takes O(sides^2); an infinite radius makes NaNs.
-    if not (3 <= sides <= 256 and abs(radius) <= _MAX_METERS):
+    if not (3 <= sides <= 256 and abs(radius) <= MAX_METERS):
         raise ValueError(f"ngon needs 3-256 sides and |radius| <= 1e6 m, got {sides}")
     ang = 2.0 * math.pi * np.arange(sides) / sides
     poly = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
@@ -288,7 +287,7 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
             Ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
             pose = replace(pose, rotation=Ry @ pose.rotation,
                            translation=pose.translation + np.array([dt[0], 0.0, dt[1]]))
-            if np.abs(pose.translation).max() > _MAX_METERS:  # the loader's bound
+            if np.abs(pose.translation).max() > MAX_METERS:  # the loader's bound
                 raise ValueError(f"view {f.view_id!r}: translation beyond 1e6 m")
         frames.append(ViewFrame(f.view_id, pose, new_b[BoundaryKind.FLOOR],
                                 new_b.get(BoundaryKind.CEILING)))

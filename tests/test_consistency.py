@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from panolayout import cli
 from panolayout.consistency import DensityGrid, cell_entropy, cell_rows, \
     check_grid, data_bounds, density_cells, density_entropy, density_map, \
-    mlc_entropy, occupied_cells, render_density, union_bounds, write_density_pgm
+    mlc_entropy, union_bounds, write_density_pgm
 from panolayout.errors import MetricError
 from panolayout.geometry import BoundaryKind, CameraPose, WorldPolyline
 from panolayout.sceneio import format_float, load_scene, save_scene, \
@@ -243,37 +243,25 @@ class TestEntropy:
 
 class TestRenderDensity:
     def test_single_cell_golden_bytes(self, tmp_path):
-        bins = np.zeros((4, 4))
-        bins[1, 2] = 1.0
-        grid = DensityGrid(bins, np.zeros(2), 1.0)
         path = tmp_path / "single.pgm"
-        render_density(grid, path)
+        write_density_pgm(path, 4, 4, np.array([1]), np.array([2]), np.array([1.0]))
         payload = bytearray(16)
         payload[2 * 4 + 1] = 255  # row v=2, column u=1
         assert path.read_bytes() == b"P5\n4 4\n255\n" + bytes(payload)
 
     def test_uniform_grid_all_white(self, tmp_path):
-        grid = DensityGrid(np.full((2, 2), 0.25), np.zeros(2), 1.0)
         path = tmp_path / "uniform.pgm"
-        render_density(grid, path)
+        write_density_pgm(path, 2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                          np.full(4, 0.25))
         assert path.read_bytes() == b"P5\n2 2\n255\n" + b"\xff" * 4
 
     def test_deterministic_bytes(self, tmp_path):
         scene = generate_scene(square_room(4.0), 4, 128, seed=9)
-        grid = density_map(scene.world_polylines(), 64, 64)
+        cells = density_cells(scene.world_polylines(), 64, 64)
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        render_density(grid, p1)
-        render_density(grid, p2)
+        write_density_pgm(p1, 64, 64, *cells)
+        write_density_pgm(p2, 64, 64, *cells)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_occupied_cells_listing(self):
-        bins = np.zeros((4, 4))
-        bins[0, 1] = 0.75
-        bins[3, 2] = 0.25
-        cells = occupied_cells(DensityGrid(bins, np.zeros(2), 1.0))
-        assert cells.shape == (2, 3)
-        assert cells[0].tolist() == [0.0, 1.0, 0.75]
-        assert cells[1].tolist() == [3.0, 2.0, 0.25]
 
 
 def dense_render_density(grid, path):
@@ -341,18 +329,7 @@ class TestOutputsFromOccupiedCells:
             assert _bytes(d / "b.pgm", d / "b.csv") == \
                 _bytes(d / "a.pgm", d / "a.csv")
             grid = density_map(polylines, U, V, padding, bounds)
-            render_density(grid, d / "c.pgm")
-            assert _bytes(d / "c.pgm") == _bytes(d / "a.pgm")
-            assert occupied_cells(grid).tobytes() == \
-                dense_occupied_cells(grid).tobytes()
-
-    def test_render_density_of_signed_grid_matches_dense_oracle(self, tmp_path):
-        # A hand-made grid may hold negative mass; it takes the same casts.
-        bins = np.array([[0.75, -0.25], [0.0, 0.5]])
-        grid = DensityGrid(bins, np.zeros(2), 1.0)
-        render_density(grid, tmp_path / "a.pgm")
-        dense_render_density(grid, tmp_path / "b.pgm")
-        assert _bytes(tmp_path / "a.pgm") == _bytes(tmp_path / "b.pgm")
+            assert cell_rows(u, v, phi).tobytes() == dense_occupied_cells(grid).tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from((square_room(4.0), lshape_room(4.0), ngon_room(7, 2.0))),

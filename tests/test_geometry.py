@@ -297,12 +297,14 @@ def _samples_or_error(fn, poly, pose):
 @given(posed_points())
 def test_world_to_boundary_samples_matches_reference_bits(case):
     poly, pose = case
-    got = _samples_or_error(world_to_boundary_samples, poly, pose)
     ref = _samples_or_error(reference_world_to_boundary_samples, poly, pose)
-    assert (got is None) == (ref is None)
-    if ref is not None:
-        assert np.array_equal(got, ref, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    # The polyline and its bare points array give the same bits or error.
+    for arg in (poly, poly.points):
+        got = _samples_or_error(world_to_boundary_samples, arg, pose)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_world_to_boundary_samples_guard_matches_reference():

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from panolayout import cli
 from panolayout.errors import SceneFormatError
-from panolayout.geometry import BoundaryKind
+from panolayout.geometry import BoundaryKind, latitude_to_row
 from panolayout.pseudolabel import PseudoLabel
 from panolayout.reprojection import BoundaryStack
-from panolayout.sceneio import boundary_to_rows, document_to_scene, dumps_document, \
-    format_float, load_scene, save_scene, scene_to_document, write_density_csv, \
+from panolayout.sceneio import document_to_scene, dumps_document, format_float, \
+    load_scene, save_scene, scene_to_document, write_density_csv, \
     write_pseudolabel_csv, write_report_csv, write_report_json, write_stack_csv, \
     write_trajectory_csv
 from panolayout.selftrain import IterationRecord
@@ -76,9 +76,9 @@ class TestSceneRoundTrip:
         H = scene.image_height
         for rf, f in zip(doc["frames"], scene.frames):
             rf["boundary_floor"] = [float(v) for v in
-                                    boundary_to_rows(f.boundary_floor, H)]
+                                    latitude_to_row(f.boundary_floor.lat, H)]
             rf["boundary_ceiling"] = [float(v) for v in
-                                      boundary_to_rows(f.boundary_ceiling, H)]
+                                      latitude_to_row(f.boundary_ceiling.lat, H)]
         doc.pop("ground_truth")
         path = tmp_path / "rows.json"
         path.write_text(dumps_document(doc))
@@ -170,6 +170,11 @@ class TestWriterAgainstReference:
                 dumps_document(doc)
 
 
+def _with_meta(doc, value: str) -> bytes:
+    """The document's JSON with meta {"x": value}, value written verbatim."""
+    return json.dumps({**doc, "meta": {"x": "@"}}).replace('"@"', value).encode()
+
+
 class TestValidation:
     def doc(self, scene):
         return scene_to_document(scene)
@@ -254,6 +259,13 @@ class TestValidation:
         lambda d: d["frames"][0].__setitem__("id", "v\x01"),
         lambda d: d.__setitem__("meta", {"note\n": "x"}),
         lambda d: d.__setitem__("meta", {"note": ["ok", {"deep": "a\x1fb"}]}),
+        lambda d: d.__setitem__("meta", {"x": float("nan")}),
+        lambda d: d.__setitem__("meta", {"x": [1, {"y": float("-inf")}]}),
+        # A mutation that returns bytes replaces the whole file.
+        lambda d: _with_meta(d, "1e999"),
+        lambda d: _with_meta(d, "9" * 5000),
+        lambda d: b"[" * 100_000 + b"]" * 100_000,
+        lambda d: json.dumps(d).encode("utf-16"),
     ], ids=["frame-list", "pose-list", "ground-truth-int", "ground-truth-entry-list",
             "translation-text", "rotation-text", "boundary-text",
             "floor-height-bool", "image-height-bool", "ground-truth-unknown-id",
@@ -263,13 +275,15 @@ class TestValidation:
             "floor-height-inf", "floor-height-nan", "floor-height-huge",
             "translation-huge", "translation-int-beyond-float", "image-height-huge",
             "image-height-above-width", "image-height-zero", "frame-id-control",
-            "meta-key-control", "meta-value-control"])
+            "meta-key-control", "meta-value-control", "meta-nan", "meta-infinity",
+            "meta-1e999", "meta-int-beyond-digit-limit", "nested-100000-deep",
+            "not-utf8"])
     def test_malformed_field_exits_3_with_json_error(self, scene, tmp_path,
                                                      capsys, mutate):
         doc = self.doc(scene)
-        mutate(doc)
+        data = mutate(doc)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(doc).encode())
         with pytest.raises(SceneFormatError):
             load_scene(path)
         assert cli.main(["metric", "--scene", str(path)]) == 3
@@ -433,9 +447,9 @@ class TestWritersAgainstReference:
                         reference_write_trajectory_csv, recs)
 
     def test_density_cells(self, tmp_path):
-        from panolayout.consistency import density_map, occupied_cells
+        from panolayout.consistency import cell_rows, density_cells
         scene = generate_scene(square_room(4.0), 3, 64, seed=1)
-        cells = occupied_cells(density_map(scene.world_polylines(), 64, 64))
+        cells = cell_rows(*density_cells(scene.world_polylines(), 64, 64))
         self.same_bytes(tmp_path, write_density_csv, reference_write_density_csv, cells)
 
     def test_pseudolabel(self, tmp_path):
