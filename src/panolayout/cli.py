@@ -98,7 +98,7 @@ def cmd_metric(args) -> int:
     if args.out_map:
         consistency.write_density_pgm(args.out_map, U, V, u, v, phi)
     if args.out:
-        sceneio.write_density_csv(consistency.cell_rows(u, v, phi), args.out)
+        sceneio.write_density_csv(u, v, phi, args.out)
     sys.stdout.write(f"H_MLC={sceneio.format_float(consistency.cell_entropy(phi))}\n")
     return 0
 

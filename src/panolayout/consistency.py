@@ -191,7 +191,3 @@ def write_density_pgm(path, U: int, V: int, u: np.ndarray, v: np.ndarray,
         f.write(f"P5\n{U} {V}\n255\n".encode("ascii"))
         f.write(img)  # the buffer itself: no bytes copy
 
-
-def cell_rows(u: np.ndarray, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(k, 3) array of (u, v, phi) rows, as sceneio.write_density_csv takes."""
-    return np.stack([u.astype(float), v.astype(float), phi], axis=1)

@@ -6,15 +6,16 @@ boundaries can produce. No mask is built: one pass over both polygons'
 edges, tagged by polygon, turns every (edge, row) crossing into a cell key,
 and footprint_ious sums the lengths of the runs between consecutive sorted
 keys where each fill, and both, are odd. Its work grows with the crossing
-count, not with raster^2.
+count, not with raster^2. evaluate_scene and refine's IoU tracking score
+each frame's floor lift with frame_ious against footprint_truth.
 Depth metrics follow the fixed-camera-height protocol: both prediction and
 ground truth are scaled to a 1.6 m camera before comparison. A depth map is
 ceiling, wall and floor down each column between two row limits; ceiling
 and floor depths depend on the row only, a wall depth on the column only.
-evaluate_view builds no map: it sums RMSE and delta-1 from the row limits,
-with one term per row where both maps are ceiling or both floor, one per
-column for wall/wall rows, and one per pixel only in the bands where one map
-is wall and the other is not. layout_depth and depth_metrics build and
+_view_depth_metrics builds no map: it sums RMSE and delta-1 from the row
+limits, with one term per row where both maps are ceiling or both floor, one
+per column for wall/wall rows, and one per pixel only in the bands where one
+map is wall and the other is not. layout_depth and depth_metrics build and
 compare whole maps; they are the map-level API and the oracle in the tests.
 """
 
@@ -305,39 +306,53 @@ def depth_metrics(pred: np.ndarray, gt: np.ndarray,
     return float(np.sqrt(mse)), float(np.count_nonzero(close) / close.size)
 
 
-def evaluate_view(pred_floor, pred_ceil, gt_floor, gt_ceil, pose: CameraPose,
-                  H: int, raster: int = RASTER_DEFAULT) -> dict:
-    """All four metrics for one view's predicted vs ground-truth boundaries."""
-    poly_p, poly_g = floor_polygon(pred_floor, pose), floor_polygon(gt_floor, pose)
-    hf = pose.floor_height
-    iou_2d, iou_3d = footprint_ious(
-        poly_p, (hf, ceiling_height(pred_floor, pred_ceil, hf)),
-        poly_g, (hf, ceiling_height(gt_floor, gt_ceil, hf)), raster)
-    rmse, delta1 = _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H)
-    return {"iou2d": iou_2d, "iou3d": iou_3d, "rmse": rmse, "delta1": delta1}
+def footprint_truth(scene: Scene) -> list:
+    """Per frame, the ground truth's floor polygon and, where the frame and
+    its ground truth both have a ceiling, their (floor, ceiling) heights."""
+    truth = []
+    for f in scene.frames:
+        gt = scene.view_ground_truth(f.view_id)
+        gt_f, gt_c = gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING)
+        hf = f.pose.floor_height
+        heights = None if f.boundary_ceiling is None or gt_c is None \
+            else (hf, ceiling_height(gt_f, gt_c, hf))
+        truth.append((floor_polygon(gt_f, f.pose), heights))
+    return truth
+
+
+def frame_ious(scene: Scene, polys, truth, raster: int = RASTER_DEFAULT):
+    """(iou2d, iou3d) of each frame's floor lift among polys
+    (scene.world_polylines()) against truth (footprint_truth), in frame
+    order; iou3d is None where truth has no heights."""
+    floors = (p.points[:, [0, 2]] for p in polys if p.kind == BoundaryKind.FLOOR)
+    for f, poly, (poly_g, heights_g) in zip(scene.frames, floors, truth):
+        hf = f.pose.floor_height
+        heights_p = None if heights_g is None \
+            else (hf, ceiling_height(f.boundary_floor, f.boundary_ceiling, hf))
+        yield footprint_ious(poly, heights_p, poly_g, heights_g, raster)
 
 
 def evaluate_scene(scene: Scene, raster: int = RASTER_DEFAULT) -> LayoutEvalReport:
     """Evaluate every frame against the scene's ground-truth boundaries.
 
     Requires a ground_truth block and ceiling boundaries on both sides (3D
-    IoU and depth need the full pair).
+    IoU and depth need the full pair). Floors are lifted by world_polylines.
     """
     if scene.ground_truth is None:
         raise ValueError("scene has no ground_truth block")
+    ious = frame_ious(scene, scene.world_polylines((BoundaryKind.FLOOR,)),
+                      footprint_truth(scene), raster)
     per_view = []
-    for f in scene.frames:
-        gt = scene.view_ground_truth(f.view_id)
-        gt_ceil = gt.get(BoundaryKind.CEILING)
-        if f.boundary_ceiling is None or gt_ceil is None:
+    for f, (iou_2d, iou_3d) in zip(scene.frames, ious):
+        if iou_3d is None:  # the frame or its ground truth has no ceiling
             raise ValueError(
                 f"view {f.view_id!r}: evaluation needs ceiling boundaries")
-        per_view.append({"view_id": f.view_id, **evaluate_view(
+        gt = scene.ground_truth[f.view_id]
+        rmse, delta1 = _view_depth_metrics(
             f.boundary_floor, f.boundary_ceiling, gt[BoundaryKind.FLOOR],
-            gt_ceil, f.pose, scene.image_height, raster)})
-    return LayoutEvalReport(
-        iou2d=float(np.mean([r["iou2d"] for r in per_view])),
-        iou3d=float(np.mean([r["iou3d"] for r in per_view])),
-        rmse=float(np.mean([r["rmse"] for r in per_view])),
-        delta1=float(np.mean([r["delta1"] for r in per_view])),
-        per_view=per_view)
+            gt[BoundaryKind.CEILING], scene.image_height)
+        per_view.append({"view_id": f.view_id, "iou2d": iou_2d, "iou3d": iou_3d,
+                         "rmse": rmse, "delta1": delta1})
+    return LayoutEvalReport(**{k: float(np.mean([r[k] for r in per_view]))
+                               for k in ("iou2d", "iou3d", "rmse", "delta1")},
+                            per_view=per_view)

@@ -71,21 +71,19 @@ def fuse(stack: BoundaryStack, estimator: str = "median",
     return PseudoLabel(lat_bar, sigma, support.astype(np.int64))
 
 
-def _pred_lat(pred) -> np.ndarray:
-    return np.asarray(getattr(pred, "lat", pred), dtype=float)
+def _abs_diff(pred, pl: PseudoLabel) -> np.ndarray:
+    """|pred - lat_bar| per column; pred is a boundary or its latitudes."""
+    lat = np.asarray(getattr(pred, "lat", pred), dtype=float)
+    if lat.shape[0] != pl.width:
+        raise ValueError(f"length mismatch: pred {lat.shape[0]} vs label {pl.width}")
+    return np.abs(lat - pl.lat_bar)
 
 
 def wbc_loss(pred, pl: PseudoLabel) -> float:
     """Uncertainty-weighted boundary consistency: sum |diff| / sigma^2."""
-    lat = _pred_lat(pred)
-    if lat.shape[0] != pl.width:
-        raise ValueError(f"length mismatch: pred {lat.shape[0]} vs label {pl.width}")
-    return float(np.sum(np.abs(lat - pl.lat_bar) / pl.sigma ** 2))
+    return float(np.sum(_abs_diff(pred, pl) / pl.sigma ** 2))
 
 
 def l1_loss(pred, pl: PseudoLabel) -> float:
     """Unweighted variant: sum |diff|."""
-    lat = _pred_lat(pred)
-    if lat.shape[0] != pl.width:
-        raise ValueError(f"length mismatch: pred {lat.shape[0]} vs label {pl.width}")
-    return float(np.sum(np.abs(lat - pl.lat_bar)))
+    return float(np.sum(_abs_diff(pred, pl)))

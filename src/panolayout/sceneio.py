@@ -359,10 +359,10 @@ def write_trajectory_csv(records, path) -> None:
         for r in records))
 
 
-def write_density_csv(cells: np.ndarray, path) -> None:
-    """Occupied density cells as (u, v, phi) rows."""
+def write_density_csv(u: np.ndarray, v: np.ndarray, phi: np.ndarray, path) -> None:
+    """Occupied density cells (consistency.density_cells) as (u, v, phi) rows."""
     _write_csv(path, ["u", "v", "phi"], (
-        [int(u), int(v), format_float(float(phi))] for u, v, phi in cells))
+        [int(i), int(j), format_float(float(m))] for i, j, m in zip(u, v, phi)))
 
 
 def write_report_csv(report, path) -> None:

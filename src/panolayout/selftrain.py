@@ -16,6 +16,7 @@ it can rise while l1 falls: compare iterations by l1.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +24,15 @@ import numpy as np
 
 from .consistency import GRID_SIZE_DEFAULT, PADDING_DEFAULT, check_grid, \
     data_bounds, density_entropy
-from .evaluation import floor_polygon, footprint_ious
-from .geometry import BoundaryKind, SphericalBoundary, ceiling_height
+from .errors import MetricError
+from .evaluation import footprint_truth, frame_ious
+from .geometry import SphericalBoundary
 from .pseudolabel import SIGMA_FLOOR_DEFAULT, check_fusion, fuse, l1_loss, \
     wbc_loss
 from .reprojection import build_stacks
 from .scene import Scene
+
+logger = logging.getLogger(__name__)
 
 LOSSES = ("wbc", "l1")
 
@@ -154,38 +158,6 @@ def self_train_step(scene: Scene, cfg: TrainConfig, polys):
     return scene.with_boundaries(updates), losses
 
 
-def _gt_footprints(scene: Scene):
-    """Per frame, the ground truth's floor polygon and, where the frame and
-    its ground truth both have a ceiling, their (floor, ceiling) heights."""
-    truth = []
-    for f in scene.frames:
-        gt = scene.view_ground_truth(f.view_id)
-        gt_f, gt_c = gt[BoundaryKind.FLOOR], gt.get(BoundaryKind.CEILING)
-        heights = None
-        if f.boundary_ceiling is not None and gt_c is not None:
-            hf = f.pose.floor_height
-            heights = (hf, ceiling_height(gt_f, gt_c, hf))
-        truth.append((floor_polygon(gt_f, f.pose), heights))
-    return truth
-
-
-def _mean_iou(scene: Scene, polys, truth) -> tuple[float, float | None]:
-    """Mean (iou2d, iou3d) over the views against truth (_gt_footprints);
-    each view's floor polygon comes from polys, scene.world_polylines()."""
-    floors = [p.points[:, [0, 2]] for p in polys if p.kind == BoundaryKind.FLOOR]
-    vals = []
-    for f, poly, (poly_g, heights_g) in zip(scene.frames, floors, truth):
-        heights_p = None
-        if heights_g is not None:
-            hf = f.pose.floor_height
-            heights_p = (hf, ceiling_height(f.boundary_floor, f.boundary_ceiling, hf))
-        vals.append(footprint_ious(poly, heights_p, poly_g, heights_g,
-                                   _TRAJECTORY_IOU_RASTER))
-    vals3 = [v3 for _, v3 in vals if v3 is not None]
-    iou_2d = float(np.mean([v2 for v2, _ in vals]))
-    return iou_2d, (float(np.mean(vals3)) if vals3 else None)
-
-
 def run(scene: Scene, cfg: TrainConfig):
     """Refine for max_iters steps with entropy-based early stopping.
 
@@ -194,12 +166,14 @@ def run(scene: Scene, cfg: TrainConfig):
     record its entropy on grid bounds frozen at iteration zero. Only the
     lowest-entropy state is kept (ties go to the earliest iteration). A best
     iteration of 0 returns the input scene itself, pseudo-labels included.
-    A scene over check_step's bound raises ValueError before any work.
+    A scene over check_step's bound raises ValueError before any work. An
+    undefined IoU (MetricError) is left blank, with a warning.
     """
     check_step(scene, cfg)
+    truth = None if scene.ground_truth is None else footprint_truth(scene)
     records: list[IterationRecord] = []
     state = best_state = scene
-    best_h, best_iter, bounds, truth = math.inf, 0, None, None
+    best_h, best_iter, bounds = math.inf, 0, None
     for k in range(cfg.max_iters + 1):
         polys = state.world_polylines()   # the one lift of this state
         next_state, losses = self_train_step(state, cfg, polys)   # the last is unused
@@ -208,9 +182,16 @@ def run(scene: Scene, cfg: TrainConfig):
             bounds = data_bounds(polys) if bounds is None else bounds
             rec.h_mlc = density_entropy(polys, cfg.grid_size, cfg.grid_size,
                                         cfg.padding, bounds=bounds)
-            if scene.ground_truth is not None:
-                truth = _gt_footprints(scene) if truth is None else truth
-                rec.iou2d, rec.iou3d = _mean_iou(state, polys, truth)
+            if truth is not None:
+                try:
+                    vals = list(frame_ious(state, polys, truth,
+                                           _TRAJECTORY_IOU_RASTER))
+                except MetricError as e:
+                    logger.warning("iteration %d: IoU not recorded: %s", k, e)
+                else:
+                    rec.iou2d = float(np.mean([v2 for v2, _ in vals]))
+                    vals3 = [v3 for _, v3 in vals if v3 is not None]
+                    rec.iou3d = float(np.mean(vals3)) if vals3 else None
             if rec.h_mlc < best_h:
                 best_h, best_iter, best_state = rec.h_mlc, k, state
         records.append(rec)

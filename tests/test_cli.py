@@ -332,8 +332,9 @@ class TestErrorHandling:
         assert not out.exists()
 
     def test_underflowing_ceiling_depths_are_2(self, scene_path, tmp_path):
-        # evaluate_view accepts this view, but its ceiling-row depths underflow
-        # to 0, which only the map-level depth check reports.
+        # The IoU and ceiling height accept this view, but its ceiling-row
+        # depths underflow to 0, which only the map-level depth check in
+        # evaluation._view_depth_metrics reports.
         doc = json.loads(scene_path.read_text())
         W = doc["image_width"]
         doc["frames"][0]["boundary_ceiling"] = [1e-322] * W

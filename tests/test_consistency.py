@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from panolayout import cli
-from panolayout.consistency import DensityGrid, cell_entropy, cell_rows, \
+from panolayout.consistency import DensityGrid, cell_entropy, \
     check_grid, data_bounds, density_cells, density_entropy, density_map, \
     mlc_entropy, union_bounds, write_density_pgm
 from panolayout.errors import MetricError
@@ -289,7 +289,7 @@ def dense_metric(polylines, U, V, padding, out_map, out, bounds=None):
     grid = density_map(polylines, U, V, padding, bounds)
     h = mlc_entropy(grid)
     dense_render_density(grid, out_map)
-    write_density_csv(dense_occupied_cells(grid), out)
+    write_density_csv(*dense_occupied_cells(grid).T, out)
     return f"H_MLC={format_float(h)}\n"
 
 
@@ -324,12 +324,14 @@ class TestOutputsFromOccupiedCells:
                 return
             u, v, phi = density_cells(polylines, U, V, padding, bounds)
             write_density_pgm(d / "b.pgm", U, V, u, v, phi)
-            write_density_csv(cell_rows(u, v, phi), d / "b.csv")
+            write_density_csv(u, v, phi, d / "b.csv")
             assert f"H_MLC={format_float(cell_entropy(phi))}\n" == expected
             assert _bytes(d / "b.pgm", d / "b.csv") == \
                 _bytes(d / "a.pgm", d / "a.csv")
             grid = density_map(polylines, U, V, padding, bounds)
-            assert cell_rows(u, v, phi).tobytes() == dense_occupied_cells(grid).tobytes()
+            u_d, v_d, phi_d = dense_occupied_cells(grid).T
+            assert np.array_equal(u, u_d) and np.array_equal(v, v_d)
+            assert phi.tobytes() == phi_d.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from((square_room(4.0), lshape_room(4.0), ngon_room(7, 2.0))),

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from panolayout import evaluation, selftrain
+from panolayout import evaluation
 from panolayout.errors import GeometryError, MetricError
-from panolayout.evaluation import depth_metrics, evaluate_scene, evaluate_view, \
-    floor_polygon, footprint_ious, iou2d, iou3d, layout_depth
+from panolayout.evaluation import _view_depth_metrics, depth_metrics, \
+    evaluate_scene, floor_polygon, footprint_ious, footprint_truth, frame_ious, \
+    iou2d, iou3d, layout_depth
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
     column_longitudes, latitude_to_row, row_to_latitude
 from panolayout.synth import NoiseSpec, generate_scene, lshape_room, ngon_room, \
@@ -251,7 +252,7 @@ def _on_row_centers(lat, H, snap):
 
 @st.composite
 def view_pairs(draw):
-    """(pred_floor, pred_ceil, gt_floor, gt_ceil, pose, H) of one view.
+    """(pred_floor, pred_ceil, gt_floor, gt_ceil, H) of one view.
 
     The prediction is the ground truth plus an offset and per-column noise,
     so its ceiling and floor rows lie above the ground truth's in some
@@ -272,22 +273,21 @@ def view_pairs(draw):
     return (SphericalBoundary(_on_row_centers(pred_f, H, snap_p[0]), floor),
             SphericalBoundary(_on_row_centers(pred_c, H, snap_p[1]), ceil),
             SphericalBoundary(_on_row_centers(gt_f, H, snap_g[0]), floor),
-            SphericalBoundary(_on_row_centers(gt_c, H, snap_g[1]), ceil),
-            frame.pose, H)
+            SphericalBoundary(_on_row_centers(gt_c, H, snap_g[1]), ceil), H)
 
 
 class TestViewDepthMetrics:
-    """evaluate_view's depth metrics against depth_metrics of the two maps."""
+    """_view_depth_metrics against depth_metrics of the two maps."""
 
     @settings(max_examples=200, deadline=None)
     @given(view_pairs())
     def test_matches_depth_maps(self, case):
-        pred_f, pred_c, gt_f, gt_c, pose, H = case
-        got = evaluate_view(pred_f, pred_c, gt_f, gt_c, pose, H, raster=64)
+        pred_f, pred_c, gt_f, gt_c, H = case
+        got_rmse, got_delta1 = _view_depth_metrics(pred_f, pred_c, gt_f, gt_c, H)
         rmse, delta1 = depth_metrics(layout_depth(pred_f, pred_c, H),
                                      layout_depth(gt_f, gt_c, H))
-        assert got["delta1"] == delta1
-        assert abs(got["rmse"] - rmse) <= 1e-12 * rmse
+        assert got_delta1 == delta1
+        assert abs(got_rmse - rmse) <= 1e-12 * rmse
 
     @pytest.mark.parametrize("room", sorted(_ROOMS))
     def test_noisy_scenes(self, room):
@@ -296,14 +296,14 @@ class TestViewDepthMetrics:
         for f in scene.frames:
             gt = scene.ground_truth[f.view_id]
             for H in (1, 7, 77, 128, 256):
-                got = evaluate_view(f.boundary_floor, f.boundary_ceiling,
-                                    gt[BoundaryKind.FLOOR], gt[BoundaryKind.CEILING],
-                                    f.pose, H, raster=64)
+                got_rmse, got_delta1 = _view_depth_metrics(
+                    f.boundary_floor, f.boundary_ceiling, gt[BoundaryKind.FLOOR],
+                    gt[BoundaryKind.CEILING], H)
                 rmse, delta1 = depth_metrics(
                     layout_depth(f.boundary_floor, f.boundary_ceiling, H),
                     layout_depth(gt[BoundaryKind.FLOOR], gt[BoundaryKind.CEILING], H))
-                assert got["delta1"] == delta1
-                assert abs(got["rmse"] - rmse) <= 1e-12 * rmse
+                assert got_delta1 == delta1
+                assert abs(got_rmse - rmse) <= 1e-12 * rmse
 
     def test_memory_does_not_grow_with_map_size(self):
         # One (2048, 4096) float64 depth map alone would take 64 MB.
@@ -312,34 +312,33 @@ class TestViewDepthMetrics:
         f = scene.frames[0]
         gt = scene.ground_truth[f.view_id]
         args = (f.boundary_floor, f.boundary_ceiling, gt[BoundaryKind.FLOOR],
-                gt[BoundaryKind.CEILING], f.pose, 2048)
+                gt[BoundaryKind.CEILING], 2048)
         tracemalloc.start()
         try:
-            got = evaluate_view(*args)
+            rmse, delta1 = _view_depth_metrics(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
-        assert 0.0 < got["rmse"] and 0.0 < got["delta1"] < 1.0
+        assert 0.0 < rmse and 0.0 < delta1 < 1.0
 
     def _overflowing_wall(self, monkeypatch, W=16):
-        # A floor latitude whose 1.6 m wall distance overflows; floor_polygon
-        # and ceiling_height would reject it first, so both are pinned.
+        # A floor latitude whose 1.6 m wall distance overflows;
+        # ceiling_height would reject it first, so it is pinned.
         monkeypatch.setattr(evaluation, "ceiling_height", lambda *a: 1.0)
-        monkeypatch.setattr(evaluation, "floor_polygon", lambda b, pose: UNIT_SQUARE)
         lat_f = np.full(W, -0.5)
         lat_f[3] = -1e-309
         bf = SphericalBoundary(lat_f, BoundaryKind.FLOOR)
         gf = SphericalBoundary(np.full(W, -0.5), BoundaryKind.FLOOR)
-        return bf, gf, CameraPose(np.eye(3), np.zeros(3), 1.6)
+        return bf, gf
 
     def test_nonfinite_depth_raises_geometry_error(self, monkeypatch):
-        bf, gf, pose = self._overflowing_wall(monkeypatch)
+        bf, gf = self._overflowing_wall(monkeypatch)
         bc = SphericalBoundary(np.full(bf.width, 0.4), BoundaryKind.CEILING)
         with pytest.raises(GeometryError) as ref, np.errstate(over="ignore"):
             reference_layout_depth(bf, bc, 8)
         with pytest.raises(GeometryError) as got, np.errstate(over="ignore"):
-            evaluate_view(bf, bc, gf, bc, pose, 8, raster=64)
+            _view_depth_metrics(bf, bc, gf, bc, 8)
         assert str(got.value) == str(ref.value)
 
     @pytest.mark.parametrize("H", [0, -1])
@@ -349,18 +348,18 @@ class TestViewDepthMetrics:
         with pytest.raises(ValueError) as ref:
             depth_metrics(layout_depth(*args, H), layout_depth(*args, H))
         with pytest.raises(ValueError) as got:
-            evaluate_view(*args, *args, f.pose, H, raster=64)
+            _view_depth_metrics(*args, *args, H)
         assert str(got.value) == str(ref.value)
 
     def test_unused_nonfinite_wall_distance_is_ignored(self, monkeypatch):
         # At H=2 no column has a wall row (rows sit at +-pi/4).
-        bf, gf, pose = self._overflowing_wall(monkeypatch)
+        bf, gf = self._overflowing_wall(monkeypatch)
         bc = SphericalBoundary(np.full(bf.width, 1e-3), BoundaryKind.CEILING)
         with np.errstate(over="ignore"):
-            got = evaluate_view(bf, bc, gf, bc, pose, 2, raster=64)
+            got = _view_depth_metrics(bf, bc, gf, bc, 2)
             expected = depth_metrics(reference_layout_depth(bf, bc, 2),
                                      reference_layout_depth(gf, bc, 2))
-        assert (got["rmse"], got["delta1"]) == expected
+        assert got == expected
 
 
 class TestEvaluationInputChecks:
@@ -679,14 +678,14 @@ class TestOneRasterPassPerPair:
         monkeypatch.setattr(evaluation, "_footprint_counts", counting)
         return calls
 
-    def test_evaluate_view(self, raster_calls):
+    def test_evaluate_scene(self, raster_calls):
         scene = generate_scene(square_room(4.0), 3, 64, seed=5)
         evaluate_scene(scene, raster=128)
         assert len(raster_calls) == 3
 
     def test_trajectory_mean_iou(self, raster_calls):
         scene = generate_scene(square_room(4.0), 3, 64, seed=5)
-        iou_2d, iou_3d = selftrain._mean_iou(scene, scene.world_polylines(),
-                                             selftrain._gt_footprints(scene))
-        assert iou_2d == 1.0 and iou_3d == 1.0
+        ious = list(frame_ious(scene, scene.world_polylines(),
+                               footprint_truth(scene), 512))
+        assert ious == [(1.0, 1.0)] * 3
         assert len(raster_calls) == 3

@@ -447,10 +447,14 @@ class TestWritersAgainstReference:
                         reference_write_trajectory_csv, recs)
 
     def test_density_cells(self, tmp_path):
-        from panolayout.consistency import cell_rows, density_cells
+        from panolayout.consistency import density_cells
         scene = generate_scene(square_room(4.0), 3, 64, seed=1)
-        cells = cell_rows(*density_cells(scene.world_polylines(), 64, 64))
-        self.same_bytes(tmp_path, write_density_csv, reference_write_density_csv, cells)
+        u, v, phi = density_cells(scene.world_polylines(), 64, 64)
+        write_density_csv(u, v, phi, tmp_path / "ours")
+        # The reference takes the former (k, 3) float rows.
+        reference_write_density_csv(
+            np.stack([u.astype(float), v.astype(float), phi], axis=1), tmp_path / "ref")
+        assert (tmp_path / "ours").read_bytes() == (tmp_path / "ref").read_bytes()
 
     def test_pseudolabel(self, tmp_path):
         from panolayout.pseudolabel import fuse

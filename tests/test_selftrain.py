@@ -434,3 +434,48 @@ class TestRunWithGroundTruth:
         # 4 states x N views x 2 kinds, and one lift per ground-truth floor.
         n = len(scene.frames)
         assert len(lifted) == 4 * n * 2 + n
+
+    def test_iteration_zero_iou_is_evaluate_scene_mean(self):
+        from panolayout.evaluation import evaluate_scene
+        scene = _gt_variants()[True, True]
+        traj, _ = run(scene, TrainConfig(max_iters=0, grid_size=128))
+        per_view = evaluate_scene(scene, raster=512).per_view
+        assert traj.records[0].iou2d == float(np.mean([r["iou2d"] for r in per_view]))
+        assert traj.records[0].iou3d == float(np.mean([r["iou3d"] for r in per_view]))
+
+
+class TestUndefinedIoU:
+    """An iteration whose IoU is undefined records none, and refining goes on.
+
+    Outliers lift some floor columns far away, so at raster 512 both
+    footprints of a view fall between cell centers at iteration 0.
+    """
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        return perturb(generate_scene(lshape_room(), 16, 1024, seed=1),
+                       NoiseSpec(boundary_std=0.05, outlier_rate=0.02,
+                                 outlier_std=0.3, seed=1))
+
+    def test_run_records_blank_iou_and_warns(self, scene, caplog):
+        with caplog.at_level("WARNING", logger="panolayout.selftrain"):
+            traj, _ = run(scene, TrainConfig(max_iters=2))
+        assert [(r.iou2d is None, r.iou3d is None) for r in traj.records] == \
+            [(True, True), (False, False), (False, False)]
+        assert all(r.h_mlc is not None for r in traj.records)
+        assert [r.getMessage() for r in caplog.records] == [
+            "iteration 0: IoU not recorded: empty polygon union; IoU undefined"]
+
+    def test_cli_refine_exits_0(self, scene, tmp_path, caplog):
+        from panolayout import cli
+        from panolayout.sceneio import save_scene
+        save_scene(scene, tmp_path / "scene.json")
+        traj = tmp_path / "traj.csv"
+        assert cli.main(["refine", "--scene", str(tmp_path / "scene.json"),
+                         "--iters", "2", "--out-traj", str(traj),
+                         "--out-scene", str(tmp_path / "best.json")]) == 0
+        rows = traj.read_text().splitlines()
+        assert rows[0] == "iter,h_mlc,wbc,l1,iou2d,iou3d"
+        assert rows[1].endswith(",,") and len(rows) == 4
+        assert not any(r.endswith(",") for r in rows[2:])
+        assert any("iteration 0" in r.getMessage() for r in caplog.records)
