@@ -11,19 +11,16 @@ import numpy as np
 
 from panolayout import NoiseSpec, TrainConfig, generate_scene, perturb, \
     run, square_room
-from panolayout.evaluation import floor_polygon, iou2d
+from panolayout.evaluation import footprint_truth, frame_ious
 from panolayout.geometry import BoundaryKind
 
 SEED = 3
 
 
 def mean_iou(scene, truth):
-    vals = []
-    for f in scene.frames:
-        gt = truth.ground_truth[f.view_id][BoundaryKind.FLOOR]
-        vals.append(iou2d(floor_polygon(f.boundary_floor, f.pose),
-                          floor_polygon(gt, f.pose), raster=512))
-    return float(np.mean(vals))
+    ious = frame_ious(scene, scene.world_polylines((BoundaryKind.FLOOR,)),
+                      footprint_truth(truth), raster=512)
+    return float(np.mean([iou_2d for iou_2d, _ in ious]))
 
 
 def main():

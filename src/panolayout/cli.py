@@ -73,6 +73,9 @@ def cmd_pseudo_label(args) -> int:
                                 view_fraction=args.view_fraction)
     scene = _load(args)
     selftrain.check_step(scene, cfg)
+    escaping = [v for v in scene.view_ids if os.path.basename(v) != v]
+    if args.out_csv and escaping:   # each CSV is <view id>.csv in --out-csv
+        raise ValueError(f"view id {escaping[0]!r} is not a file name for --out-csv")
     kind = BoundaryKind(args.kind)
     scene.pseudo_labels = labels = selftrain.fuse_labels(
         scene, scene.world_polylines((kind,)), [kind], cfg)[kind]

@@ -50,19 +50,17 @@ def fuse(stack: BoundaryStack, estimator: str = "median",
     loss finite).
     """
     check_fusion(estimator, sigma_floor)
-    lat = np.where(stack.valid, stack.lat, np.nan)
-    support = stack.valid.sum(axis=1)
-    # Reductions run over value-sorted entries (NaNs last), which makes the
-    # result exactly invariant to any permutation of the view axis.
-    order = np.sort(lat, axis=1)
+    # Reductions run over value-sorted entries, invalid (NaN) ones last, which
+    # makes the result exactly invariant to any permutation of the view axis.
+    order = np.sort(stack.lat, axis=1)
+    filled = ~np.isnan(order)
+    support = filled.sum(axis=1)
     if estimator == "median":
         # Lower median: index (n-1)//2 of the sorted valid entries.
         idx = (support - 1) // 2
         lat_bar = np.take_along_axis(order, idx[:, None], axis=1)[:, 0]
-    # nanmean of the sorted entries: the same sums with NaN entries zeroed,
-    # divided by the valid count. Valid entries are finite, so the zeroed
-    # entries are exactly the invalid ones, in both passes.
-    filled = ~np.isnan(order)
+    # nanmean of the sorted entries: the same sums with the invalid (NaN)
+    # entries zeroed, divided by the valid count, in both passes.
     mean = np.where(filled, order, 0.0).sum(axis=1) / support
     if estimator == "mean":
         lat_bar = mean

@@ -13,8 +13,8 @@ world-to-sphere transform and logs one contested-crossing count;
 resample_to_columns is the kernel's one-curve case. The kernel expands only
 the segments within the gap limit and picks one crossing per column with a
 scatter-min keyed by column x curve, so no curve's result depends on the
-others in its call. A stack entry's lat is NaN exactly where its valid flag
-is False.
+others in its call. A stack entry is valid exactly where its lat is not
+NaN.
 
 The kernel takes longitudes in [-pi, pi]: world_to_boundary_samples returns
 arctan2 values, which lie there, and resample_to_columns wraps any other
@@ -58,15 +58,18 @@ class BoundaryStack:
     """Per-column re-projected latitudes for one target view.
 
     lat has shape (W, N): entry (theta, i) is view i's boundary re-projected
-    to the target at column theta. lat is NaN exactly where valid is False:
-    no gap-valid crossing, or a latitude on the wrong side of the horizon.
+    to the target at column theta, NaN where invalid (valid is False): no
+    gap-valid crossing, or a latitude on the wrong side of the horizon.
     """
 
     target_view: str
     lat: np.ndarray
-    valid: np.ndarray
     kind: BoundaryKind
     view_ids: list[str]
+
+    @property
+    def valid(self) -> np.ndarray:
+        return ~np.isnan(self.lat)
 
     @property
     def width(self) -> int:
@@ -77,8 +80,7 @@ class BoundaryStack:
         return self.lat.shape[1]
 
 
-def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
-                        gap_max: float | None = None):
+def resample_to_columns(samples: np.ndarray, W: int, gap_max: float | None = None):
     """Interpolate a re-projected boundary curve at the W column centers.
 
     The samples are treated as a closed curve (consecutive samples joined,
@@ -97,7 +99,7 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
     logged as contested. Longitudes outside [-pi, pi] are wrapped into it
     first, and a NaN longitude makes both its segments gaps.
 
-    Returns (lat, valid): (W,) float array (NaN where invalid) and (W,) bool.
+    Returns (lat, valid): (W,) float array and (W,) bool, ~np.isnan(lat).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2:
@@ -110,8 +112,8 @@ def resample_to_columns(samples: np.ndarray, W: int, kind: BoundaryKind,
         # Only these are wrapped: in-range longitudes keep their bits.
         samples = samples.copy()
         samples[outside, 0] = wrap_longitude(lon[outside])
-    lat, valid = _resample(samples[None], W, gap_max)
-    return lat[0], valid[0]
+    lat = _resample(samples[None], W, gap_max)[0]
+    return lat, ~np.isnan(lat)
 
 
 def _wrap_two_pi(x: np.ndarray) -> np.ndarray:
@@ -133,13 +135,12 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     gap_max are expanded into candidate crossings, keyed by column * m +
     curve. Two scatter-mins pick one per key: the least source distance,
     then among equals the lowest candidate index, which follows segment
-    order. Only the winners are interpolated, and a column is valid exactly
-    where it has one.
+    order. Only the winners are interpolated.
 
-    Returns (lat, valid, n_contested): lat (m, W) is NaN where valid (m, W)
-    is False, and n_contested counts the gap-valid crossings that lose a
-    column, summed over the curves. lat and valid are transposed views of
-    C-ordered (W, m) arrays, the layout stacks keep.
+    Returns (lat, n_contested): lat (m, W) is NaN where a column has no
+    winner, and n_contested counts the gap-valid crossings that lose a
+    column, summed over the curves. lat is a transposed view of a C-ordered
+    (W, m) array, the layout stacks keep.
     """
     m, n = samples.shape[:2]
     # Each curve is a row of n + 1 entries closed by a copy of its first
@@ -187,8 +188,7 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     tie = np.flatnonzero(src_dist == best[key])
     pick = np.full(m * W, i.size)
     np.minimum.at(pick, key[tie], tie)
-    valid = pick < i.size
-    won = np.flatnonzero(valid)
+    won = np.flatnonzero(pick < i.size)
     pick = pick[won]
     i, p, centers = i[pick], p[pick], centers[pick]
     a = segs[i]
@@ -202,7 +202,7 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     interp = lat_a + t * (lat_b - lat_a)
     out_lat = np.full(m * W, np.nan)
     out_lat[won] = np.where(at_start, lat_a, np.where(at_end, lat_b, interp))
-    return out_lat.reshape(W, m).T, valid.reshape(W, m).T, key.size - won.size
+    return out_lat.reshape(W, m).T, key.size - won.size
 
 
 def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
@@ -212,14 +212,14 @@ def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
 
 
 def _resample(curves: np.ndarray, W: int, gap_max: float | None):
-    """_resample_batch's (lat, valid), gap_max defaulting to
-    DEFAULT_GAP_FACTOR column widths; logs the call's contested count."""
+    """_resample_batch's lat, gap_max defaulting to DEFAULT_GAP_FACTOR
+    column widths; logs the call's contested count."""
     if gap_max is None:
         gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
-    lat, valid, n_contested = _resample_batch(curves, W, gap_max)
+    lat, n_contested = _resample_batch(curves, W, gap_max)
     if n_contested:
         logger.debug("resample: %d contested column crossings", n_contested)
-    return lat, valid
+    return lat
 
 
 def build_stacks(scene: Scene, polys: list[WorldPolyline],
@@ -248,19 +248,18 @@ def build_stacks(scene: Scene, polys: list[WorldPolyline],
                   for t in range(start // n, (stop - 1) // n + 1)]
         curves = np.concatenate([world_to_boundary_samples(
             points[a * W:b * W], frames[t].pose) for t, a, b in pieces])
-        lat, valid = _resample(curves.reshape(-1, W, 2), W, None)
+        lat = _resample(curves.reshape(-1, W, 2), W, None)
         stacks = []
         for t, a, b in pieces:
             if a == 0:   # C-ordered: fusion's summation order follows the layout
-                t_lat, t_valid = np.empty((W, n)), np.empty((W, n), dtype=bool)
+                t_lat = np.empty((W, n))
             r = t * n - start   # the call's row of the target's source 0
-            t_lat[:, a:b], t_valid[:, a:b] = lat[r + a:r + b].T, valid[r + a:r + b].T
+            t_lat[:, a:b] = lat[r + a:r + b].T
             if b == n:
-                f = frames[t]
-                stacks.append(_stack_from_polylines(t_lat, t_valid, sources,
-                                                    f.pose, f.view_id, kind))
+                stacks.append(_stack_from_polylines(t_lat, sources, frames[t].pose,
+                                                    frames[t].view_id, kind))
         # Freed before the yield: held, they would raise the caller's peak memory.
-        del curves, lat, valid
+        del curves, lat
         yield from stacks
 
 
@@ -276,23 +275,22 @@ def build_stack(scene: Scene, target: str, kind: BoundaryKind,
     return next(build_stacks(scene, scene.world_polylines((kind,), view_ids), [target]))
 
 
-def _stack_from_polylines(lat: np.ndarray, valid: np.ndarray,
-                          sources: list[str], dst_pose: CameraPose, target: str,
+def _stack_from_polylines(lat: np.ndarray, sources: list[str],
+                          dst_pose: CameraPose, target: str,
                           kind: BoundaryKind) -> BoundaryStack:
-    """One target's stack from its C-ordered (W, N) lat and valid buffers,
-    which it masks in place and keeps.
+    """One target's stack from its C-ordered (W, N) lat buffer, which it
+    masks in place and keeps.
 
-    Masks entries on the wrong side of the horizon and raises CoverageError,
-    naming the columns, where no entry is left. dst_pose is the target's
-    pose, for callers that check the stack against the target's geometry.
+    Writes NaN where an entry lies on the wrong side of the horizon and raises
+    CoverageError, naming the columns, where no entry is left. dst_pose is the
+    target's pose, for callers that check the stack against its geometry.
     """
-    valid &= _lat_in_range(lat, kind)
-    lat[~valid] = np.nan
-    empty = np.flatnonzero(~valid.any(axis=1))
+    lat[~_lat_in_range(lat, kind)] = np.nan
+    empty = np.flatnonzero(np.isnan(lat).all(axis=1))
     if empty.size:
         head = ", ".join(map(str, empty[:20]))
         more = f" (+{empty.size - 20} more)" if empty.size > 20 else ""
         raise CoverageError(
             f"target {target!r}: no valid {kind.value} entries for columns "
             f"{head}{more}")
-    return BoundaryStack(target, lat, valid, kind, list(sources))
+    return BoundaryStack(target, lat, kind, list(sources))

@@ -341,9 +341,9 @@ def _optional_float(x) -> str:
 def write_stack_csv(stack: BoundaryStack, path) -> None:
     """Stack dump: one row per (column, view) with lat and validity."""
     _write_csv(path, ["column", "view", "lat", "valid"], (
-        [theta, vid, "" if np.isnan(lat) else format_float(float(lat)), int(ok)]
-        for theta in range(stack.width)
-        for vid, lat, ok in zip(stack.view_ids, stack.lat[theta], stack.valid[theta])))
+        [theta, vid, format_float(float(lat)) if ok else "", int(ok)]
+        for theta, oks in enumerate(stack.valid)   # evaluated once, up front
+        for vid, lat, ok in zip(stack.view_ids, stack.lat[theta], oks)))
 
 
 def write_pseudolabel_csv(pl: PseudoLabel, path) -> None:

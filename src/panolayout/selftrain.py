@@ -122,13 +122,6 @@ def fuse_labels(scene: Scene, polys, kinds, cfg: TrainConfig):
     return labels
 
 
-def _step_losses(scene: Scene, labels) -> tuple[float, float]:
-    pairs = [(scene.frame(vid).boundary(kind), pl)
-             for kind, per_view in labels.items() for vid, pl in per_view.items()]
-    return (float(np.mean([wbc_loss(b, pl) for b, pl in pairs])),
-            float(np.mean([l1_loss(b, pl) for b, pl in pairs])))
-
-
 def self_train_step(scene: Scene, cfg: TrainConfig, polys):
     """One synchronous consensus update over all views.
 
@@ -139,23 +132,22 @@ def self_train_step(scene: Scene, cfg: TrainConfig, polys):
     min(1, sigma_ref^2 / sigma^2), sigma_ref being the view's median sigma,
     which damps updates where the re-projections disagree.
     """
-    labels = fuse_labels(scene, polys, scene.kinds(), cfg)
-    losses = _step_losses(scene, labels)
-    updates = {}
-    for f in scene.frames:
-        per_kind = {}
-        for kind in scene.kinds():
-            pl = labels[kind][f.view_id]
-            lat = f.boundary(kind).lat
+    kinds = scene.kinds()
+    labels = fuse_labels(scene, polys, kinds, cfg)
+    wbc, l1, updates = [], [], {f.view_id: {} for f in scene.frames}
+    for kind in kinds:   # kind-major, frame order: the losses' summation order
+        for f in scene.frames:
+            pl, lat = labels[kind][f.view_id], f.boundary(kind).lat
+            wbc.append(wbc_loss(lat, pl))
+            l1.append(l1_loss(lat, pl))
             if cfg.loss == "wbc":
                 sigma_ref = float(np.median(pl.sigma))
                 step = cfg.damping * np.minimum(1.0, (sigma_ref / pl.sigma) ** 2)
             else:
                 step = np.full_like(lat, cfg.damping)
             new_lat = np.where(step >= 1.0, pl.lat_bar, lat + step * (pl.lat_bar - lat))
-            per_kind[kind] = SphericalBoundary(new_lat, kind)
-        updates[f.view_id] = per_kind
-    return scene.with_boundaries(updates), losses
+            updates[f.view_id][kind] = SphericalBoundary(new_lat, kind)
+    return scene.with_boundaries(updates), (float(np.mean(wbc)), float(np.mean(l1)))
 
 
 def run(scene: Scene, cfg: TrainConfig):

@@ -283,9 +283,8 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
         dyaw = float(rng.normal(0.0, 1.0)) * noise.pose_rot_std
         pose = f.pose
         if dt[0] != 0.0 or dt[1] != 0.0 or dyaw != 0.0:
-            c, s = math.cos(dyaw), math.sin(dyaw)
-            Ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-            pose = replace(pose, rotation=Ry @ pose.rotation,
+            rotation = CameraPose.from_yaw(dyaw).rotation @ pose.rotation
+            pose = replace(pose, rotation=rotation,
                            translation=pose.translation + np.array([dt[0], 0.0, dt[1]]))
             if np.abs(pose.translation).max() > MAX_METERS:  # the loader's bound
                 raise ValueError(f"view {f.view_id!r}: translation beyond 1e6 m")

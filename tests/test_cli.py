@@ -101,6 +101,30 @@ class TestPseudoLabel:
         files = sorted(csv_dir.glob("*.csv"))
         assert len(files) == 5
 
+    def test_view_id_naming_a_path_is_2_and_writes_nothing(self, scene_path,
+                                                             tmp_path, capsys):
+        # Each CSV is <view id>.csv inside --out-csv, so an id holding a path
+        # would write outside it; the check runs before any output is written.
+        from panolayout import cli
+        doc = json.loads(scene_path.read_text())
+        absolute = str(tmp_path / "absolute")
+        ids = {doc["frames"][0]["id"]: "../escaped", doc["frames"][1]["id"]: absolute}
+        for entry in doc["frames"] + doc["ground_truth"]:
+            entry["id"] = ids.get(entry["id"], entry["id"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out, csv_dir = tmp_path / "labeled.json", tmp_path / "out" / "labels"
+        assert cli.main(["pseudo-label", "--scene", str(bad), "--out", str(out),
+                         "--out-csv", str(csv_dir)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ValueError"
+        assert "'../escaped'" in err["error"]["message"]
+        assert not (tmp_path / "out").exists() and not out.exists()
+        assert not (tmp_path / "absolute.csv").exists()
+        # Without --out-csv no file is named after a view id.
+        assert cli.main(["pseudo-label", "--scene", str(bad), "--out", str(out)]) == 0
+        assert list(load_scene(out).pseudo_labels)[:2] == ["../escaped", absolute]
+
     def test_ceiling_labels_from_frames_that_carry_one(self, scene_path, tmp_path):
         from panolayout import cli
         doc = json.loads(scene_path.read_text())

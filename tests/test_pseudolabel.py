@@ -13,13 +13,11 @@ from panolayout.synth import NoiseSpec, generate_scene, perturb, square_room
 from conftest import coaxial_cylinder_scene
 
 
-def stack_from(lat_rows, valid=None, kind=BoundaryKind.FLOOR):
-    """Stack with N views from a list of per-view latitude rows (each (W,))."""
+def stack_from(lat_rows, kind=BoundaryKind.FLOOR):
+    """Stack with N views from a list of per-view latitude rows (each (W,)),
+    NaN marking an invalid entry."""
     lat = np.stack([np.asarray(r, float) for r in lat_rows], axis=1)
-    if valid is None:
-        valid = ~np.isnan(lat)
-    return BoundaryStack("t", lat, np.asarray(valid, bool), kind,
-                         [f"v{i}" for i in range(lat.shape[1])])
+    return BoundaryStack("t", lat, kind, [f"v{i}" for i in range(lat.shape[1])])
 
 
 def reference_fuse(stack, estimator="median", sigma_floor=SIGMA_FLOOR_DEFAULT):
@@ -41,9 +39,8 @@ def reference_fuse(stack, estimator="median", sigma_floor=SIGMA_FLOOR_DEFAULT):
 @st.composite
 def fusion_cases(draw):
     """(stack, estimator, sigma_floor): finite valid entries drawn from a small
-    pool (ties, signed zeros), invalid entries holding NaN or stale values,
-    columns with one valid entry or an even count, and at times one column
-    with none."""
+    pool (ties, signed zeros), NaN invalid entries, columns with one valid
+    entry or an even count, and at times one column with none."""
     W = draw(st.integers(1, 48))
     N = draw(st.integers(1, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -63,9 +60,8 @@ def fusion_cases(draw):
             valid[c, rng.choice(N, k, replace=False)] = True
     if draw(st.booleans()):
         valid[rng.integers(0, W)] = False                # no valid entry
-    lat[~valid & (rng.random((W, N)) < 0.5)] = np.nan    # others keep values
-    stack = BoundaryStack("t", lat, valid, BoundaryKind.FLOOR,
-                          [f"v{i}" for i in range(N)])
+    lat[~valid] = np.nan
+    stack = BoundaryStack("t", lat, BoundaryKind.FLOOR, [f"v{i}" for i in range(N)])
     return stack, draw(st.sampled_from(("median", "mean"))), \
         draw(st.sampled_from((SIGMA_FLOOR_DEFAULT, 1e-12, 0.5)))
 
@@ -102,9 +98,8 @@ class TestFuse:
 
     def test_masked_outlier_is_ignored(self):
         lat = np.stack([np.full(8, -0.30)] * 3 + [np.full(8, 0.40)], axis=1)
-        valid = np.ones_like(lat, dtype=bool)
-        valid[:, 3] = False  # sign-flipped entry masked upstream
-        label = fuse(BoundaryStack("t", lat, valid, BoundaryKind.FLOOR,
+        lat[:, 3] = np.nan  # sign-flipped entry masked upstream
+        label = fuse(BoundaryStack("t", lat, BoundaryKind.FLOOR,
                                    ["a", "b", "c", "d"]))
         assert np.allclose(label.lat_bar, -0.30)
         assert (label.support == 3).all()

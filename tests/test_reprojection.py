@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -158,11 +159,10 @@ def _reference_resample_sources(curves, W):
     per = max(1, _REF_CHUNK_SAMPLES // W)
     if m <= per:
         return reprojection._resample(curves, W, None)
-    lat, valid = np.empty((W, m)), np.empty((W, m), dtype=bool)  # the kernel's layout
+    lat = np.empty((W, m))   # the kernel's layout
     for s in range(0, m, per):
-        lat_s, valid_s = reprojection._resample(curves[s:s + per], W, None)
-        lat[:, s:s + per], valid[:, s:s + per] = lat_s.T, valid_s.T
-    return lat.T, valid.T
+        lat[:, s:s + per] = reprojection._resample(curves[s:s + per], W, None).T
+    return lat.T
 
 
 def reference_build_stacks(scene, polys, targets=None):
@@ -179,11 +179,11 @@ def reference_build_stacks(scene, polys, targets=None):
         samples = [world_to_boundary_samples(merged, f.pose) for f in group]
         # A one-target call takes its samples uncopied.
         batch = samples[0] if len(group) == 1 else np.concatenate(samples)
-        lat, valid = _reference_resample_sources(batch.reshape(-1, W, 2), W)
+        lat = _reference_resample_sources(batch.reshape(-1, W, 2), W)
         stacks = [reprojection._stack_from_polylines(
-            lat[j * n:(j + 1) * n].T.copy(), valid[j * n:(j + 1) * n].T.copy(),
-            sources, f.pose, f.view_id, kind) for j, f in enumerate(group)]
-        del samples, batch, lat, valid
+            lat[j * n:(j + 1) * n].T.copy(), sources, f.pose, f.view_id, kind)
+            for j, f in enumerate(group)]
+        del samples, batch, lat
         yield from stacks
 
 
@@ -320,14 +320,13 @@ class TestResampleToColumns:
         for W in (64, 12, 100, 360):
             lat_in = -rng.uniform(0.1, 1.2, W)
             samples = np.stack([column_longitudes(W), lat_in], axis=1)
-            lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR)
+            lat, valid = resample_to_columns(samples, W)
             assert valid.all()
             assert np.array_equal(lat, lat_in)
 
     def test_two_antipodal_samples(self):
         samples = np.array([[-math.pi / 2, -0.4], [math.pi / 2, -0.2]])
-        lat, valid = resample_to_columns(samples, 4, BoundaryKind.FLOOR,
-                                         gap_max=np.inf)
+        lat, valid = resample_to_columns(samples, 4, gap_max=np.inf)
         assert valid.all()
         assert np.allclose(lat, [-0.35, -0.35, -0.25, -0.25], atol=1e-12)
         # Midpoint of the two interpolated halves sits at the -0.3 crossing.
@@ -345,7 +344,7 @@ class TestResampleToColumns:
 
         lon_dense = column_longitudes(n_dense)
         samples = np.stack([lon_dense, lat_of(lon_dense)], axis=1)
-        lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR)
+        lat, valid = resample_to_columns(samples, W)
         assert valid.all()
         assert np.max(np.abs(lat - lat_of(column_longitudes(W)))) < 1e-6
 
@@ -354,7 +353,7 @@ class TestResampleToColumns:
         # is bridged by one giant segment and must come out invalid.
         lon = np.linspace(-math.pi / 2, math.pi / 2, 9)
         samples = np.stack([lon, np.full(9, -0.5)], axis=1)
-        lat, valid = resample_to_columns(samples, 16, BoundaryKind.FLOOR)
+        lat, valid = resample_to_columns(samples, 16)
         centers = column_longitudes(16)
         front = np.abs(centers) < math.pi / 2
         assert valid[front].all()
@@ -363,7 +362,7 @@ class TestResampleToColumns:
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
-            resample_to_columns(np.array([[0.0, -0.5]]), 16, BoundaryKind.FLOOR)
+            resample_to_columns(np.array([[0.0, -0.5]]), 16)
 
     @settings(max_examples=400, deadline=None)
     @given(closed_curves())
@@ -377,8 +376,7 @@ class TestResampleToColumns:
         contested = reference_gap_valid_crossings(samples, W, gap_max) \
             - int(ref_valid.sum())
         with logged_contested() as logged:
-            lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR,
-                                             gap_max)
+            lat, valid = resample_to_columns(samples, W, gap_max)
         assert np.array_equal(valid, ref_valid)
         assert np.array_equal(lat[valid], ref_lat[valid])
         assert np.isnan(lat[~valid]).all()
@@ -392,12 +390,10 @@ class TestResampleToColumns:
             lon = column_longitudes(n) + rng.uniform(-0.3, 0.3)
             lon = (lon + math.pi) % (2.0 * math.pi) - math.pi
             samples = np.column_stack([lon, -rng.uniform(0.2, 1.2, n)])
-            lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR,
-                                             gap_max)
+            lat, valid = resample_to_columns(samples, W, gap_max)
             shifted = samples + [[turns * 2.0 * math.pi, 0.0]]
             kept = shifted.copy()
-            lat_s, valid_s = resample_to_columns(shifted, W, BoundaryKind.FLOOR,
-                                                 gap_max)
+            lat_s, valid_s = resample_to_columns(shifted, W, gap_max)
             assert np.array_equal(shifted, kept)        # input left untouched
             ref_lat, ref_valid, _ = reference_resample_to_columns(shifted, W,
                                                                   gap_max)
@@ -410,7 +406,7 @@ class TestResampleToColumns:
     def test_nan_longitude_leaves_a_gap(self):
         samples = np.stack([column_longitudes(32), np.full(32, -0.5)], axis=1)
         samples[10, 0] = math.nan
-        lat, valid = resample_to_columns(samples, 32, BoundaryKind.FLOOR)
+        lat, valid = resample_to_columns(samples, 32)
         # Column 10 sits on the NaN sample; its neighbours are still reached
         # by the segments beyond.
         assert np.flatnonzero(~valid).tolist() == [10]
@@ -422,7 +418,7 @@ class TestResampleToColumns:
         src = column_longitudes(4)
         dist = np.abs((src - center + math.pi) % (2.0 * math.pi) - math.pi)
         assert center == 0.0 and dist[1] == dist[2] < dist[0] == dist[3]
-        lat, valid = resample_to_columns(samples, W, BoundaryKind.FLOOR)
+        lat, valid = resample_to_columns(samples, W)
         assert valid[4] and lat[4] == -0.75         # segment 1, not -0.55
 
 
@@ -573,6 +569,19 @@ class TestBuildStack:
         stack = build_stack(scene, "b", BoundaryKind.FLOOR)
         assert stack.valid[:, 1].all() and not stack.valid[:, 0].any()
         assert np.isnan(stack.lat[:, 0]).all()
+
+    def test_validity_is_the_nan_in_lat(self):
+        # A stack stores no validity of its own: valid is lat's non-NaN mask.
+        assert [f.name for f in dataclasses.fields(reprojection.BoundaryStack)] \
+            == ["target_view", "lat", "kind", "view_ids"]
+        scene = _grouped_case(6, 128, None)[0]
+        for kind in (BoundaryKind.FLOOR, BoundaryKind.CEILING):
+            stacks = list(build_stacks(scene, scene.world_polylines((kind,))))
+            assert len(stacks) == 6
+            assert any(not s.valid.all() for s in stacks)
+            for s in stacks:
+                assert s.valid.dtype == bool and s.valid.shape == s.lat.shape
+                assert np.array_equal(s.valid, ~np.isnan(s.lat))
 
     def test_insufficient_coverage_names_columns(self):
         # A lone distant source view only covers a narrow longitude range of

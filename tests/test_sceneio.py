@@ -426,8 +426,7 @@ class TestWritersAgainstReference:
     def test_stack_with_nan_entries(self, tmp_path):
         lat = np.array([[-0.5, np.nan, -0.25], [np.nan, np.nan, -1e-300],
                         [-0.0, -0.1, np.nan]])
-        stack = BoundaryStack("b", lat, ~np.isnan(lat), BoundaryKind.FLOOR,
-                              ["a", "b", "c,d"])
+        stack = BoundaryStack("b", lat, BoundaryKind.FLOOR, ["a", "b", "c,d"])
         self.same_bytes(tmp_path, write_stack_csv, reference_write_stack_csv, stack)
 
     def test_real_stack(self, tmp_path):

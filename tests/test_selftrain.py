@@ -9,14 +9,16 @@ import pytest
 
 from panolayout import selftrain
 from panolayout.consistency import data_bounds, density_map, mlc_entropy
-from panolayout.evaluation import floor_polygon, footprint_ious, iou2d
+from panolayout.evaluation import floor_polygon, footprint_ious, \
+    footprint_truth, frame_ious
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
     ceiling_height
 from panolayout.scene import Scene, ViewFrame
 from panolayout.sceneio import dumps_document, scene_to_document, \
     write_trajectory_csv
+from panolayout.pseudolabel import l1_loss, wbc_loss
 from panolayout.selftrain import IterationRecord, TrainConfig, TrainTrajectory, \
-    _step_losses, fuse_labels, run, select_views, self_train_step
+    fuse_labels, run, select_views, self_train_step
 from panolayout.synth import NoiseSpec, generate_scene, lshape_room, perturb, \
     square_room
 
@@ -44,12 +46,9 @@ def mean_floor_error(scene, truth_scene):
 
 
 def mean_floor_iou(scene, truth_scene, raster=512):
-    vals = []
-    for f in scene.frames:
-        gt = truth_scene.ground_truth[f.view_id][BoundaryKind.FLOOR]
-        vals.append(iou2d(floor_polygon(f.boundary_floor, f.pose),
-                          floor_polygon(gt, f.pose), raster))
-    return float(np.mean(vals))
+    ious = frame_ious(scene, scene.world_polylines((BoundaryKind.FLOOR,)),
+                      footprint_truth(truth_scene), raster)
+    return float(np.mean([iou_2d for iou_2d, _ in ious]))
 
 
 class TestSelectViews:
@@ -314,9 +313,38 @@ def reference_run(scene: Scene, cfg: TrainConfig):
         state = next_state
     # Final state needs one label pass of its own for the loss record.
     final_labels = fuse_labels(state, state.world_polylines(), state.kinds(), cfg)
-    record(cfg.max_iters, _step_losses(state, final_labels), evaluated=True)
+    pairs = [(state.frame(vid).boundary(kind), pl)
+             for kind, per_view in final_labels.items() for vid, pl in per_view.items()]
+    record(cfg.max_iters, (float(np.mean([wbc_loss(b, pl) for b, pl in pairs])),
+                           float(np.mean([l1_loss(b, pl) for b, pl in pairs]))),
+           evaluated=True)
 
     return TrainTrajectory(records, best_iter), snapshots[best_iter]
+
+
+def reference_train_step(scene: Scene, cfg: TrainConfig, polys):
+    """The former self_train_step, kept as the oracle for the one-pass step:
+    a loss pass over the labels, then an update pass frame by frame."""
+    labels = fuse_labels(scene, polys, scene.kinds(), cfg)
+    pairs = [(scene.frame(vid).boundary(kind), pl)
+             for kind, per_view in labels.items() for vid, pl in per_view.items()]
+    losses = (float(np.mean([wbc_loss(b, pl) for b, pl in pairs])),
+              float(np.mean([l1_loss(b, pl) for b, pl in pairs])))
+    updates = {}
+    for f in scene.frames:
+        per_kind = {}
+        for kind in scene.kinds():
+            pl = labels[kind][f.view_id]
+            lat = f.boundary(kind).lat
+            if cfg.loss == "wbc":
+                sigma_ref = float(np.median(pl.sigma))
+                step = cfg.damping * np.minimum(1.0, (sigma_ref / pl.sigma) ** 2)
+            else:
+                step = np.full_like(lat, cfg.damping)
+            new_lat = np.where(step >= 1.0, pl.lat_bar, lat + step * (pl.lat_bar - lat))
+            per_kind[kind] = SphericalBoundary(new_lat, kind)
+        updates[f.view_id] = per_kind
+    return scene.with_boundaries(updates), losses
 
 
 def _run_variants():
@@ -337,6 +365,25 @@ _VARIANTS = _run_variants()
 def _bits(records):
     return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(r))
             for r in records]
+
+
+class TestStepAgainstReference:
+    @pytest.mark.parametrize("loss,damping,ceilings", list(
+        itertools.product(("wbc", "l1"), (0.5, 1.0), (True, False))))
+    def test_same_losses_and_boundaries(self, loss, damping, ceilings):
+        scene = _VARIANTS[ceilings, False]
+        cfg = TrainConfig(damping=damping, loss=loss)
+        polys = scene.world_polylines()
+        out, losses = self_train_step(scene, cfg, polys)
+        ref, ref_losses = reference_train_step(scene, cfg, polys)
+        assert [v.hex() for v in losses] == [v.hex() for v in ref_losses]
+        for f, f_ref in zip(out.frames, ref.frames):
+            assert f.view_id == f_ref.view_id
+            assert np.array_equal(f.boundary_floor.lat, f_ref.boundary_floor.lat)
+            assert (f.boundary_ceiling is None) == (f_ref.boundary_ceiling is None)
+            if f.boundary_ceiling is not None:
+                assert np.array_equal(f.boundary_ceiling.lat,
+                                      f_ref.boundary_ceiling.lat)
 
 
 class TestRunAgainstReference:

@@ -180,6 +180,27 @@ class TestPerturb:
             # still a pure yaw rotation: the Y row/column stay untouched
             assert np.allclose(f1.pose.rotation[1], [0, 1, 0], atol=1e-15)
 
+    def test_pose_noise_matches_former_yaw_matrix(self):
+        # perturb's yaw matrix written out as it was before it came from
+        # CameraPose.from_yaw, with the same random draws, frame by frame.
+        scene = generate_scene(lshape_room(4.0), 4, 64, seed=1)
+        spec = NoiseSpec(boundary_std=0.01, pose_trans_std=0.1,
+                         pose_rot_std=0.05, seed=13)
+        out = perturb(scene, spec)
+        children = np.random.SeedSequence(spec.seed).spawn(len(scene.frames))
+        for child, f0, f1 in zip(children, scene.frames, out.frames):
+            rng = np.random.default_rng(child)
+            for _ in range(2):   # floor and ceiling draws
+                rng.normal(0.0, 1.0, 64), rng.random(64), rng.normal(0.0, 1.0, 64)
+            dt = rng.normal(0.0, 1.0, 2) * spec.pose_trans_std
+            dyaw = float(rng.normal(0.0, 1.0)) * spec.pose_rot_std
+            c, s = math.cos(dyaw), math.sin(dyaw)
+            Ry = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+            assert dyaw != 0.0
+            assert np.array_equal(f1.pose.rotation, Ry @ f0.pose.rotation)
+            assert np.array_equal(f1.pose.translation,
+                                  f0.pose.translation + np.array([dt[0], 0.0, dt[1]]))
+
     def test_error_grows_with_boundary_noise(self):
         # Monte-Carlo: pseudo-label error vs noise level, 10 seeds each.
         room = square_room(4.0)
