@@ -21,9 +21,10 @@ Equirectangular pixel grid (width W, height H), pixel-center sampling:
 
 Poses are camera-to-world: p_world = rotation @ p_camera + translation.
 
-The wall-radius formula rho = h / tan(|lat|) is used for projecting a
-boundary latitude onto its height plane; it is sign-safe for both floor
-(lat < 0) and ceiling (lat > 0) boundaries.
+BoundaryKind.side (-1.0 floor, +1.0 ceiling) is the one spelling of a kind's
+side of the horizon: its latitudes satisfy 0 < side * lat < pi/2, and its
+plane lies at y = -side * h, reached at wall radius rho = h / tan(|lat|).
+Formulas that take a (floor, ceiling) pair by role keep their own signs.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ class BoundaryKind(Enum):
     FLOOR = "floor"
     CEILING = "ceiling"
 
+    @property
+    def side(self) -> float:
+        """-1.0 for floor (below the horizon), +1.0 for ceiling (above it)."""
+        return -1.0 if self is BoundaryKind.FLOOR else 1.0
+
 
 @dataclass(frozen=True)
 class SphericalBoundary:
@@ -75,14 +81,12 @@ class SphericalBoundary:
             raise ValueError(f"boundary needs >= 8 columns, got shape {lat.shape}")
         if not np.all(np.isfinite(lat)):
             raise ValueError("boundary latitudes must be finite")
-        if self.kind == BoundaryKind.FLOOR:
-            if not np.all(lat < 0.0):
-                raise ValueError("floor boundary latitudes must be strictly negative")
-        elif self.kind == BoundaryKind.CEILING:
-            if not np.all(lat > 0.0):
-                raise ValueError("ceiling boundary latitudes must be strictly positive")
-        else:
+        if not isinstance(self.kind, BoundaryKind):
             raise ValueError(f"unknown boundary kind: {self.kind!r}")
+        if not np.all(self.kind.side * lat > 0.0):
+            sign = "negative" if self.kind.side < 0 else "positive"
+            raise ValueError(f"{self.kind.value} boundary latitudes must be "
+                             f"strictly {sign}")
         if np.any(np.abs(lat) >= math.pi / 2):
             raise ValueError("boundary latitudes must lie in (-pi/2, pi/2)")
 
@@ -212,9 +216,9 @@ def boundary_to_world(b: SphericalBoundary, pose: CameraPose,
     """Project a boundary onto its height plane and register it in world frame.
 
     Column theta with longitude lon and latitude lat maps to the camera-frame
-    point (rho*sin(lon), s*h, rho*cos(lon)) with rho = h/tan(|lat|), where
-    h is the plane distance for the boundary's kind and s = +1 for floor,
-    -1 for ceiling. Output preserves column order.
+    point (rho*sin(lon), -side*h, rho*cos(lon)) with rho = h/tan(|lat|),
+    where h is the plane distance for the boundary's kind and side is
+    kind.side. Output preserves column order.
 
     Raises GeometryError when any |lat| < LAT_MIN (ray nearly parallel to
     the plane) or when a ceiling boundary is projected with an unresolved
@@ -230,7 +234,7 @@ def boundary_to_world(b: SphericalBoundary, pose: CameraPose,
     rho = h / np.tan(np.abs(lat))
     cam = np.empty((b.width, 3))
     np.multiply(rho, sin_lon, out=cam[:, 0])
-    cam[:, 1] = h if b.kind == BoundaryKind.FLOOR else -h
+    cam[:, 1] = -b.kind.side * h
     np.multiply(rho, cos_lon, out=cam[:, 2])
     world = cam @ pose.rotation.T + pose.translation
     return WorldPolyline(world, source_view, b.kind)

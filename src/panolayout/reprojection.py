@@ -205,12 +205,6 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     return out_lat.reshape(W, m).T, key.size - won.size
 
 
-def _lat_in_range(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
-    if kind == BoundaryKind.FLOOR:
-        return (lat > -math.pi / 2) & (lat < 0.0)
-    return (lat > 0.0) & (lat < math.pi / 2)
-
-
 def _resample(curves: np.ndarray, W: int, gap_max: float | None):
     """_resample_batch's lat, gap_max defaulting to DEFAULT_GAP_FACTOR
     column widths; logs the call's contested count."""
@@ -285,7 +279,8 @@ def _stack_from_polylines(lat: np.ndarray, sources: list[str],
     CoverageError, naming the columns, where no entry is left. dst_pose is the
     target's pose, for callers that check the stack against its geometry.
     """
-    lat[~_lat_in_range(lat, kind)] = np.nan
+    s = kind.side * lat
+    lat[~((s > 0.0) & (s < math.pi / 2))] = np.nan
     empty = np.flatnonzero(np.isnan(lat).all(axis=1))
     if empty.size:
         head = ", ".join(map(str, empty[:20]))

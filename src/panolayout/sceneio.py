@@ -32,24 +32,22 @@ _LOAD_ROTATION_TOL = 1e-6
 _STRICT_ROTATION_TOL = 1e-9
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal, exact on round trip."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    if x == 0.0:
-        return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
-    return format(x, ".17g")
-
-
 def _float_array(values) -> str:
-    """format_float of each float, comma-joined, from one format call."""
+    """Each float as a 17-significant-digit decimal, exact on round trip (zeros
+    as "0.0" and "-0.0"), comma-joined, from one format call. Raises
+    ValueError, naming it, at the first non-finite value."""
     text = ("%.17g," * len(values) % tuple(values))[:-1]
     if "n" in text:  # "inf" or "nan"
-        for x in values:
-            format_float(x)
+        x = next(x for x in values if not math.isfinite(x))
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
     if 0.0 in values:
         text = ",".join(t + ".0" if t in ("0", "-0") else t for t in text.split(","))
     return text
+
+
+def format_float(x: float) -> str:
+    """One float as _float_array writes it."""
+    return _float_array((x,))
 
 
 def _has_control(s: str) -> bool:
@@ -154,11 +152,16 @@ def _require(cond: bool, msg: str):
         raise SceneFormatError(msg)
 
 
-def _array(values, dtype, ctx: str, what: str) -> np.ndarray:
+def _array(values, ctx: str, what: str) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=dtype)
+        arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:  # Overflow: int > float max
         raise SceneFormatError(f"{ctx}: {what} must be numeric") from e
+    # numpy reads true and false as 1.0 and 0.0: only then look for them.
+    if isinstance(values, list) and ((arr == 0.0) | (arr == 1.0)).any():
+        _require(not any(v is True or v is False for v in values),
+                 f"{ctx}: {what} must be numeric, not true or false")
+    return arr
 
 
 def _records(values, what: str) -> list[dict]:
@@ -171,7 +174,7 @@ def _parse_boundary(values, kind: BoundaryKind, W: int, ctx: str,
                     pixel_rows: bool, H: int) -> SphericalBoundary | None:
     if values is None:
         return None
-    arr = _array(values, float, ctx, "boundary")
+    arr = _array(values, ctx, f"boundary_{kind.value}")
     _require(arr.ndim == 1 and arr.shape[0] == W,
              f"{ctx}: boundary length {arr.shape} != image_width {W}")
     if pixel_rows:
@@ -193,16 +196,19 @@ def _parse_pair(record: dict, W: int, ctx: str, pixel_rows: bool, H: int):
 
 
 def _entries(doc: dict, key: str, frame_ids):
-    """(id, ctx, record) for each record of doc[key]; each must name a frame."""
+    """(id, ctx, record) for each record of doc[key]; each names a frame once."""
+    seen = set()
     for record in _records(doc[key], key):
         vid = record.get("id")
         ctx = f"{key} {vid!r}"
         _require(isinstance(vid, str) and vid in frame_ids, f"{ctx}: names no frame")
+        _require(vid not in seen, f"{ctx}: id repeated")
+        seen.add(vid)
         yield vid, ctx, record
 
 
 def _parse_rotation(values, ctx: str) -> np.ndarray:
-    R = _array(values, float, ctx, "rotation")
+    R = _array(values, ctx, "rotation")
     _require(R.shape == (9,), f"{ctx}: rotation must be 9 row-major floats")
     R = R.reshape(3, 3)
     defect = float(np.max(np.abs(R.T @ R - np.eye(3))))
@@ -253,7 +259,7 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
         pose_doc = rf.get("pose") or {}
         _require(isinstance(pose_doc, dict), f"{ctx}: pose must be a JSON object")
         R = _parse_rotation(pose_doc.get("rotation"), ctx)
-        t = _array(pose_doc.get("translation"), float, ctx, "translation")
+        t = _array(pose_doc.get("translation"), ctx, "translation")
         _require(t.shape == (3,), f"{ctx}: translation must be a 3-vector")
         _require(bool(np.all(np.abs(t) <= MAX_METERS)),
                  f"{ctx}: translation entries must lie in [-1e6, 1e6] m")
@@ -286,11 +292,9 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     if doc.get("pseudo_labels") is not None:
         pseudo_labels = {}
         for vid, ctx, rp in _entries(doc, "pseudo_labels", frame_ids):
-            lat_bar = _array(rp.get("lat_bar"), float, ctx, "lat_bar")
-            sigma = _array(rp.get("sigma"), float, ctx, "sigma")
-            support = _array(rp.get("support"), float, ctx, "support")
-            _require(lat_bar.shape == (W,) and sigma.shape == (W,)
-                     and support.shape == (W,),
+            lat_bar, sigma, support = (_array(rp.get(k), ctx, k)
+                                       for k in ("lat_bar", "sigma", "support"))
+            _require(all(a.shape == (W,) for a in (lat_bar, sigma, support)),
                      f"{ctx}: arrays must have length {W}")
             _require(np.all(np.isfinite(lat_bar)) and np.all(np.isfinite(sigma)),
                      f"{ctx}: lat_bar and sigma must be finite")

@@ -30,9 +30,6 @@ WALL_CLEARANCE = 0.2
 
 _MAX_PLACEMENT_ATTEMPTS = 100
 
-# Clamp for perturbed latitudes on the pole side, away from tan() blowup.
-_LAT_MAX = math.pi / 2 - 1e-4
-
 
 @dataclass(frozen=True)
 class RoomSpec:
@@ -109,6 +106,8 @@ def _self_intersects(poly: np.ndarray) -> bool:
 
 
 def square_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) -> RoomSpec:
+    if not size > 0.0:   # a negative size builds the point-reflected room
+        raise ValueError(f"size must be > 0, got {size!r}")
     s = size / 2.0
     poly = np.array([[-s, -s], [s, -s], [s, s], [-s, s]])
     return RoomSpec(poly, h_floor, h_ceil)
@@ -120,6 +119,8 @@ def lshape_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) ->
     Its kernel (the region seeing every wall) is the quadrant adjacent to
     the inner corner, so star-visible camera placement is feasible.
     """
+    if not size > 0.0:   # a negative size builds the point-reflected room
+        raise ValueError(f"size must be > 0, got {size!r}")
     s = size / 2.0
     poly = np.array([[-s, -s], [s, -s], [s, 0.0], [0.0, 0.0], [0.0, s], [-s, s]])
     return RoomSpec(poly, h_floor, h_ceil)
@@ -128,8 +129,9 @@ def lshape_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) ->
 def ngon_room(sides: int = 6, radius: float = 2.0, h_floor: float = 1.6,
               h_ceil: float = 0.9) -> RoomSpec:
     # The simple-polygon check takes O(sides^2); an infinite radius makes NaNs.
-    if not (3 <= sides <= 256 and abs(radius) <= MAX_METERS):
-        raise ValueError(f"ngon needs 3-256 sides and |radius| <= 1e6 m, got {sides}")
+    if not (3 <= sides <= 256 and 0.0 < radius <= MAX_METERS):
+        raise ValueError(f"ngon needs 3-256 sides and a radius in (0, 1e6] m, "
+                         f"got {sides} and {radius!r}")
     ang = 2.0 * math.pi * np.arange(sides) / sides
     poly = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     return RoomSpec(poly, h_floor, h_ceil)
@@ -191,11 +193,8 @@ def exact_boundary(room: RoomSpec, pose: CameraPose, W: int,
     yaw = math.atan2(pose.rotation[0, 2], pose.rotation[2, 2])
     angles = wrap_longitude(column_longitudes(W) + yaw)
     d = ray_distances(room.footprint, origin, angles)
-    if kind == BoundaryKind.FLOOR:
-        lat = -np.arctan(room.h_floor / d)
-    else:
-        lat = np.arctan(room.h_ceil / d)
-    return SphericalBoundary(lat, kind)
+    h = room.h_floor if kind == BoundaryKind.FLOOR else room.h_ceil
+    return SphericalBoundary(kind.side * np.arctan(h / d), kind)
 
 
 def scene_from_poses(room: RoomSpec, poses: list[CameraPose], W: int,
@@ -247,13 +246,6 @@ def generate_scene(room: RoomSpec, n_views: int, W: int, seed: int) -> Scene:
     return scene_from_poses(room, poses, W, meta=meta)
 
 
-def _clamp_lat(lat: np.ndarray, kind: BoundaryKind) -> np.ndarray:
-    # Stay on the correct side of the horizon by at least LAT_MIN.
-    if kind == BoundaryKind.FLOOR:
-        return np.clip(lat, -_LAT_MAX, -LAT_MIN)
-    return np.clip(lat, LAT_MIN, _LAT_MAX)
-
-
 def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
     """Apply i.i.d. Gaussian boundary noise, column outliers and pose noise.
 
@@ -277,7 +269,9 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
             out_mask = rng.random(w) < noise.outlier_rate
             out = rng.normal(0.0, 1.0, w) * noise.outlier_std
             delta = np.where(out_mask, out, base)
-            lat = b.lat if not np.any(delta) else _clamp_lat(b.lat + delta, kind)
+            s = kind.side   # LAT_MIN clear of the horizon and the pole (tan blowup)
+            lat = b.lat if not np.any(delta) else \
+                s * np.clip(s * (b.lat + delta), LAT_MIN, math.pi / 2 - LAT_MIN)
             new_b[kind] = SphericalBoundary(lat, kind)
         dt = rng.normal(0.0, 1.0, 2) * noise.pose_trans_std
         dyaw = float(rng.normal(0.0, 1.0)) * noise.pose_rot_std

@@ -66,6 +66,11 @@ def dist_to_polygon_boundary(points_xz: np.ndarray, poly: np.ndarray) -> np.ndar
     return d.min(axis=1)
 
 
+def float_neighbours(x: float) -> list[float]:
+    """x and the doubles just below and above it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
 def rotation_about_y(yaw: float) -> np.ndarray:
     c, s = math.cos(yaw), math.sin(yaw)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])

@@ -43,6 +43,17 @@ class TestSynth:
             assert res.returncode == 0, res.stderr
             assert load_scene(out).meta["noise"]["boundary_std"] == 0.02
 
+    @pytest.mark.parametrize("room", ["square", "lshape", "ngon"])
+    def test_negative_size_exits_2(self, tmp_path, room):
+        # A negative extent used to build the point-reflected room.
+        out = tmp_path / "scene.json"
+        res = run_cli("synth", "--room", room, "--size", "-4", "--out", str(out))
+        assert res.returncode == 2
+        err = json.loads(res.stderr.strip().splitlines()[-1])["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].endswith(("got -4.0", "got 6 and -2.0"))
+        assert not out.exists()
+
 
 class TestReproject:
     def test_stack_csv(self, scene_path, tmp_path):

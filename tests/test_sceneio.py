@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -18,13 +19,44 @@ from panolayout.sceneio import document_to_scene, dumps_document, format_float, 
 from panolayout.selftrain import IterationRecord
 from panolayout.synth import generate_scene, square_room
 
+from conftest import float_neighbours
+
 
 @pytest.fixture
 def scene():
     return generate_scene(square_room(4.0), 3, 64, seed=12)
 
 
+def reference_format_float(x) -> str:
+    """The former format_float, before _float_array held the rule."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    if x == 0.0:
+        return "-0.0" if math.copysign(1.0, x) < 0 else "0.0"
+    return format(x, ".17g")
+
+
+# NaN, +-inf, the largest double, where %.17g turns to exponent notation, and
+# the neighbours of +-0.0, of the smallest normal double, of pi/2 and of 1e-4.
+_FLOAT_EDGES = [math.nan, math.inf, -math.inf, 1.7976931348623157e308, 1e16, 1e17,
+                *(s * v for x in (0.0, 2.2250738585072014e-308, math.pi / 2, 1e-4)
+                  for v in float_neighbours(x) for s in (1.0, -1.0))]
+
+
+def _formatted(fn, x):
+    """fn(x), or the message of the ValueError it raised."""
+    try:
+        return fn(x)
+    except ValueError as e:
+        return str(e)
+
+
 class TestFloatFormat:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats(width=64)))
+    def test_matches_reference_bit_for_bit(self, x):
+        assert _formatted(format_float, x) == _formatted(reference_format_float, x)
+
     def test_round_trip_exact(self, rng):
         for x in rng.uniform(-10, 10, 200):
             assert float(format_float(float(x))) == x
@@ -108,7 +140,8 @@ def reference_dumps_document(doc) -> str:
         return obj
 
     text = json.dumps(encode(doc), ensure_ascii=True, separators=(",", ":"))
-    return _TOKEN.sub(lambda m: format_float(floats[int(m.group(1))]), text) + "\n"
+    return _TOKEN.sub(lambda m: reference_format_float(floats[int(m.group(1))]),
+                      text) + "\n"
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -165,9 +198,10 @@ class TestWriterAgainstReference:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
-        for doc in ([1.0, bad], {"k": [bad, 0.0]}, bad):
-            with pytest.raises(ValueError, match="non-finite"):
+        for doc in ([1.0, bad], {"k": [bad, 0.0]}, bad, [0.5, bad, -float("inf")]):
+            with pytest.raises(ValueError) as e:
                 dumps_document(doc)
+            assert str(e.value) == f"cannot serialize non-finite float {bad!r}"
 
 
 def _with_meta(doc, value: str) -> bytes:
@@ -300,6 +334,53 @@ class TestValidation:
         with pytest.raises(ValueError, match="control"):
             save_scene(scene, path)
         assert not path.exists()
+
+    def _metric_error(self, doc, tmp_path, capsys) -> str:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["metric", "--scene", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "SceneFormatError"
+        return err["error"]["message"]
+
+    @staticmethod
+    def _label(vid="view000"):
+        return {"id": vid, "lat_bar": [-0.5] * 64, "sigma": [0.1] * 64,
+                "support": [1] * 64}
+
+    @pytest.mark.parametrize("key", ["ground_truth", "pseudo_labels"])
+    def test_repeated_id_rejected(self, scene, tmp_path, capsys, key):
+        # A repeated record used to replace the earlier one without a word.
+        doc = self.doc(scene)
+        if key == "ground_truth":
+            doc[key].append({"id": "view000", "boundary_floor": [-0.5] * 64})
+        else:
+            doc[key] = [self._label(), self._label("view001"), self._label()]
+        message = self._metric_error(doc, tmp_path, capsys)
+        assert message == f"{key} 'view000': id repeated"
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("translation", lambda d: d["frames"][0]["pose"].__setitem__(
+            "translation", [False, False, True])),
+        ("rotation", lambda d: d["frames"][0]["pose"].__setitem__(
+            "rotation", [True, False, False, False, True, False, False, False, True])),
+        ("boundary_floor", lambda d: d["frames"][1]["boundary_floor"].__setitem__(
+            5, False)),
+        ("boundary_ceiling", lambda d: d["ground_truth"][2].__setitem__(
+            "boundary_ceiling", [True] * 64)),
+        ("lat_bar", lambda d: d["pseudo_labels"][0]["lat_bar"].__setitem__(0, True)),
+        ("sigma", lambda d: d["pseudo_labels"][0].__setitem__("sigma", [True] * 64)),
+        ("support", lambda d: d["pseudo_labels"][0].__setitem__(
+            "support", [True] * 64)),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_booleans_in_numeric_arrays_rejected(self, scene, tmp_path, capsys,
+                                                 field, mutate):
+        # numpy reads true and false as 1.0 and 0.0; a scene file may not.
+        doc = self.doc(scene)
+        doc["pseudo_labels"] = [self._label()]
+        mutate(doc)
+        message = self._metric_error(doc, tmp_path, capsys)
+        assert message.endswith(f": {field} must be numeric, not true or false")
 
 
 class TestCsvWriters:
