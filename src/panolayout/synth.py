@@ -71,12 +71,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.boundary_std < 0 or self.outlier_std < 0:
-            raise ValueError("boundary noise stds must be >= 0")
+        for name in ("boundary_std", "outlier_std", "pose_trans_std", "pose_rot_std"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:   # NaN fails both comparisons
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not (0.0 <= self.outlier_rate < 1.0):
             raise ValueError("outlier_rate must be in [0, 1)")
-        if self.pose_trans_std < 0 or self.pose_rot_std < 0:
-            raise ValueError("pose noise stds must be >= 0")
 
 
 def _signed_area(poly: np.ndarray) -> float:
@@ -173,11 +173,20 @@ def kernel_clearance(footprint: np.ndarray, point) -> float:
     visible from the point.
     """
     poly = np.asarray(footprint, dtype=float)
-    p = np.asarray(point, dtype=float)
+    return _clearance_to(poly)(np.asarray(point, dtype=float))
+
+
+def _clearance_to(poly: np.ndarray):
+    """kernel_clearance to poly as a function of the point; the edge vectors
+    and lengths are computed once."""
     e = np.roll(poly, -1, axis=0) - poly
-    rel = p[None, :] - poly
-    cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
-    return float(np.min(cross / np.linalg.norm(e, axis=1)))
+    length = np.linalg.norm(e, axis=1)
+
+    def clearance(p: np.ndarray) -> float:
+        rel = p[None, :] - poly
+        cross = e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]
+        return float(np.min(cross / length))
+    return clearance
 
 
 def exact_boundary(room: RoomSpec, pose: CameraPose, W: int,
@@ -189,12 +198,20 @@ def exact_boundary(room: RoomSpec, pose: CameraPose, W: int,
     from the camera plane, matching the pose heights produced by
     generate_scene.
     """
+    return _exact_boundaries(room, pose, W, (kind,))[0]
+
+
+def _exact_boundaries(room: RoomSpec, pose: CameraPose, W: int,
+                      kinds) -> list[SphericalBoundary]:
+    """exact_boundary of each kind, from one ray cast: the wall distances
+    do not depend on the kind."""
     origin = (pose.translation[0], pose.translation[2])
     yaw = math.atan2(pose.rotation[0, 2], pose.rotation[2, 2])
     angles = wrap_longitude(column_longitudes(W) + yaw)
     d = ray_distances(room.footprint, origin, angles)
-    h = room.h_floor if kind == BoundaryKind.FLOOR else room.h_ceil
-    return SphericalBoundary(kind.side * np.arctan(h / d), kind)
+    h = {BoundaryKind.FLOOR: room.h_floor, BoundaryKind.CEILING: room.h_ceil}
+    return [SphericalBoundary(kind.side * np.arctan(h[kind] / d), kind)
+            for kind in kinds]
 
 
 def scene_from_poses(room: RoomSpec, poses: list[CameraPose], W: int,
@@ -206,8 +223,8 @@ def scene_from_poses(room: RoomSpec, poses: list[CameraPose], W: int,
     frames, gt = [], {}
     for vid, pose in zip(view_ids, poses):
         pose = replace(pose, floor_height=room.h_floor, ceil_height=room.h_ceil)
-        bf = exact_boundary(room, pose, W, BoundaryKind.FLOOR)
-        bc = exact_boundary(room, pose, W, BoundaryKind.CEILING)
+        bf, bc = _exact_boundaries(room, pose, W,
+                                   (BoundaryKind.FLOOR, BoundaryKind.CEILING))
         frames.append(ViewFrame(vid, pose, bf, bc))
         gt[vid] = {BoundaryKind.FLOOR: bf, BoundaryKind.CEILING: bc}
     return Scene(frames, W, W // 2, ground_truth=gt, meta=dict(meta or {}))
@@ -226,6 +243,7 @@ def generate_scene(room: RoomSpec, n_views: int, W: int, seed: int) -> Scene:
     if not 8 <= W <= 16384:  # a 16K panorama
         raise ValueError(f"W must lie in [8, 16384], got {W}")
     poly = room.footprint
+    clearance = _clearance_to(poly)
     lo, hi = poly.min(axis=0), poly.max(axis=0)
     children = np.random.SeedSequence(seed).spawn(n_views)
     poses = []
@@ -233,7 +251,7 @@ def generate_scene(room: RoomSpec, n_views: int, W: int, seed: int) -> Scene:
         rng = np.random.default_rng(children[i])
         for _ in range(_MAX_PLACEMENT_ATTEMPTS):
             p = rng.uniform(lo, hi)
-            if kernel_clearance(poly, p) >= WALL_CLEARANCE:
+            if clearance(p) >= WALL_CLEARANCE:
                 break
         else:
             raise GeometryError(

@@ -54,6 +54,19 @@ class TestSynth:
         assert err["message"].endswith(("got -4.0", "got 6 and -2.0"))
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--noise-boundary-std", "--noise-pose-rot-std"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_noise_exits_2_naming_the_field(self, tmp_path, flag, value):
+        out = tmp_path / "scene.json"
+        res = run_cli("synth", "--n-views", "3", "--width", "64", flag, value,
+                      "--out", str(out))
+        assert res.returncode == 2
+        err = json.loads(res.stderr.strip().splitlines()[-1])["error"]
+        name = flag.removeprefix("--noise-").replace("-", "_")
+        assert err == {"type": "ValueError",
+                       "message": f"{name} must be finite and >= 0, got {value}"}
+        assert not out.exists()
+
 
 class TestReproject:
     def test_stack_csv(self, scene_path, tmp_path):

@@ -1,14 +1,18 @@
 import itertools
 import math
+import os
 import platform
+import threading
 import tracemalloc
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from panolayout import selftrain
 from panolayout.consistency import data_bounds, density_map, mlc_entropy
+from panolayout.errors import CoverageError
 from panolayout.evaluation import floor_polygon, footprint_ious, \
     footprint_truth, frame_ious
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
@@ -526,3 +530,188 @@ class TestUndefinedIoU:
         assert rows[1].endswith(",,") and len(rows) == 4
         assert not any(r.endswith(",") for r in rows[2:])
         assert any("iteration 0" in r.getMessage() for r in caplog.records)
+
+
+def _serial_run(scene: Scene, cfg: TrainConfig):
+    """run kept in this process whatever its size."""
+    with mock.patch.object(selftrain, "_WORKER_SAMPLES", math.inf):
+        return run(scene, cfg)
+
+
+def _scene_bytes(scene: Scene) -> str:
+    return dumps_document(scene_to_document(scene))
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFuseWorker:
+    """run's forked fusion worker, forced on small scenes by a zero sample
+    threshold and two usable CPUs. The parent fuses the first half of each
+    step's (kind, target) pairs and the worker the second half."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Force the worker; record the pid of each os.fork caller."""
+        monkeypatch.setattr(selftrain, "_WORKER_SAMPLES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        calls, fork = [], os.fork
+
+        def counted_fork():
+            calls.append(os.getpid())
+            return fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return calls
+
+    @staticmethod
+    def spy_fuse(monkeypatch, fail=None):
+        """Patch selftrain.fuse to record the (kind, target) pairs fused in
+        this process and to run fail(stack), which may raise, first."""
+        seen, fuse = [], selftrain.fuse
+
+        def spy(stack, *args):
+            if fail is not None:
+                fail(stack)
+            seen.append((stack.kind, stack.target_view))
+            return fuse(stack, *args)
+        monkeypatch.setattr(selftrain, "fuse", spy)
+        return seen
+
+    @staticmethod
+    def floor_only():
+        noisy = _VARIANTS[True, False]
+        return Scene([ViewFrame(f.view_id, f.pose, f.boundary_floor)
+                      for f in noisy.frames[:3]], noisy.image_width,
+                     noisy.image_height)
+
+    @staticmethod
+    def lroom():
+        return perturb(generate_scene(lshape_room(), 5, 64, seed=1),
+                       NoiseSpec(boundary_std=0.04, seed=2))
+
+    @pytest.mark.parametrize("make", ["lroom", "floor_only"])
+    def test_same_bits_as_serial_with_half_fused_here(self, make, forks,
+                                                      monkeypatch):
+        scene, cfg = getattr(self, make)(), TrainConfig(max_iters=3, grid_size=128)
+        ref_traj, ref_best = _serial_run(scene, cfg)
+        assert forks == []
+        seen = self.spy_fuse(monkeypatch)
+        traj, best = run(scene, cfg)
+        _assert_no_child()
+        assert forks == [os.getpid()]
+        assert _bits(traj.records) == _bits(ref_traj.records)
+        assert traj.best_iter == ref_traj.best_iter
+        assert _scene_bytes(best) == _scene_bytes(ref_best)
+        pairs = [(k, f.view_id) for k in scene.kinds() for f in scene.frames]
+        assert seen == pairs[:len(pairs) // 2] * (cfg.max_iters + 1)
+
+    @pytest.mark.parametrize("make", ["lroom", "floor_only"])
+    def test_labels_keep_serial_order_and_bits(self, make, forks):
+        scene, cfg = getattr(self, make)(), TrainConfig()
+        polys = scene.world_polylines()
+        want = fuse_labels(scene, polys, scene.kinds(), cfg)
+        worker = selftrain._FuseWorker(
+            scene, cfg, [(k, f.view_id) for k in scene.kinds() for f in scene.frames])
+        try:
+            got = worker.fuse_labels(scene, polys, cfg)
+        finally:
+            worker.close()
+        _assert_no_child()
+        assert forks == [os.getpid()]
+        assert [(k, list(v)) for k, v in got.items()] == \
+            [(k, list(v)) for k, v in want.items()]
+        for kind, labels in want.items():
+            for view, pl in labels.items():
+                for a, b in zip(astuple(got[kind][view]), astuple(pl)):
+                    assert np.array_equal(a, b)
+
+    def test_worker_exception_is_the_serial_one(self, forks, monkeypatch):
+        scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
+        last = (BoundaryKind.CEILING, scene.frames[-1].view_id)
+
+        def fail(stack):
+            if (stack.kind, stack.target_view) == last:
+                raise CoverageError(f"no cover for {stack.target_view!r}")
+        seen = self.spy_fuse(monkeypatch, fail)
+        with pytest.raises(CoverageError) as ref:
+            _serial_run(scene, cfg)
+        seen.clear()
+        with pytest.raises(CoverageError) as got:
+            run(scene, cfg)
+        _assert_no_child()
+        assert forks == [os.getpid()]
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value) == "no cover for 'view004'"
+        assert last not in seen   # raised in the worker, not fused again here
+
+    def test_parent_half_exception_propagates(self, forks, monkeypatch):
+        scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
+
+        def fail(stack):
+            if stack.target_view == "view001":
+                raise ZeroDivisionError("first floor half")
+        self.spy_fuse(monkeypatch, fail)
+        with pytest.raises(ZeroDivisionError, match="first floor half"):
+            run(scene, cfg)
+        _assert_no_child()
+        assert forks == [os.getpid()]
+
+    def test_worker_that_exits_without_reply_is_replaced_here(self, forks,
+                                                               monkeypatch):
+        scene, cfg = self.lroom(), TrainConfig(max_iters=3, grid_size=128)
+        ref_traj, ref_best = _serial_run(scene, cfg)
+        parent = os.getpid()
+
+        def fail(stack):
+            if os.getpid() != parent:
+                os._exit(3)
+        seen = self.spy_fuse(monkeypatch, fail)
+        traj, best = run(scene, cfg)
+        _assert_no_child()
+        assert forks == [parent]
+        assert _bits(traj.records) == _bits(ref_traj.records)
+        assert _scene_bytes(best) == _scene_bytes(ref_best)
+        # Step 0 fuses its own half, then the dead worker's; later steps all.
+        assert len(seen) == 2 * len(scene.frames) * (cfg.max_iters + 1)
+
+    def test_no_fork_while_another_thread_runs(self, forks):
+        scene, cfg = self.lroom(), TrainConfig(max_iters=1, grid_size=128)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            traj, best = run(scene, cfg)
+        finally:
+            stop.set()
+            other.join()
+        assert forks == []
+        ref_traj, ref_best = _serial_run(scene, cfg)
+        assert _bits(traj.records) == _bits(ref_traj.records)
+
+    def test_cli_refine_same_bytes_on_one_cpu(self, tmp_path, monkeypatch):
+        # At the real threshold: 3 iterations x 2 kinds x 16 x 16 x 1024
+        # samples start the worker only when a second CPU is usable.
+        from panolayout import cli
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+        monkeypatch.setattr(os, "fork", counted_fork)
+        src = tmp_path / "scene.json"
+        assert cli.main(["synth", "--room", "lshape", "--n-views", "16",
+                         "--width", "1024", "--seed", "7",
+                         "--noise-boundary-std", "0.05", "--out", str(src)]) == 0
+        outs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+            traj = tmp_path / f"traj{len(cpus)}.csv"
+            best = tmp_path / f"best{len(cpus)}.json"
+            assert cli.main(["refine", "--scene", str(src), "--iters", "2",
+                             "--out-traj", str(traj), "--out-scene", str(best)]) == 0
+            outs.append((traj.read_bytes(), best.read_bytes()))
+            assert len(forks) == len(cpus) - 1
+        _assert_no_child()
+        assert outs[0] == outs[1]

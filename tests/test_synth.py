@@ -120,6 +120,35 @@ class TestGenerateScene:
             p = (f.pose.translation[0], f.pose.translation[2])
             assert kernel_clearance(room.footprint, p) >= 0.2
 
+    @pytest.mark.parametrize("room,n,W", [
+        (lshape_room(4.0), 5, 256), (square_room(4.0), 5, 256),
+        (ngon_room(20, 2.0), 4, 1024)])
+    def test_boundaries_match_per_view_oracle(self, room, n, W):
+        # One ray cast per view serves both kinds; each must equal the
+        # per-kind exact_boundary bit for bit, in the frames and the truth.
+        scene = generate_scene(room, n, W, seed=3)
+        for f in scene.frames:
+            for kind in (BoundaryKind.FLOOR, BoundaryKind.CEILING):
+                want = exact_boundary(room, f.pose, W, kind).lat
+                assert np.array_equal(f.boundary(kind).lat, want)
+                assert np.array_equal(scene.ground_truth[f.view_id][kind].lat, want)
+
+    def test_placement_matches_kernel_clearance_oracle(self):
+        # The per-attempt rejection rule, redone with the public
+        # kernel_clearance: the same draws must place the same cameras.
+        room, n, seed = lshape_room(4.0), 8, 2
+        scene = generate_scene(room, n, 64, seed)
+        lo, hi = room.footprint.min(axis=0), room.footprint.max(axis=0)
+        for f, child in zip(scene.frames, np.random.SeedSequence(seed).spawn(n)):
+            rng = np.random.default_rng(child)
+            p = rng.uniform(lo, hi)
+            while kernel_clearance(room.footprint, p) < 0.2:
+                p = rng.uniform(lo, hi)
+            pose = CameraPose.from_yaw(rng.uniform(-math.pi, math.pi),
+                                       (p[0], 0.0, p[1]), 1.6, 0.9)
+            assert np.array_equal(f.pose.translation, pose.translation)
+            assert np.array_equal(f.pose.rotation, pose.rotation)
+
     def test_convex_room_all_columns_defined(self):
         scene = generate_scene(ngon_room(7, 2.0), 5, 256, seed=4)
         for f in scene.frames:
@@ -234,3 +263,11 @@ class TestPerturb:
             NoiseSpec(outlier_rate=1.0)
         with pytest.raises(ValueError):
             NoiseSpec(boundary_std=-0.1)
+
+    @pytest.mark.parametrize("name", ["boundary_std", "outlier_std",
+                                      "pose_trans_std", "pose_rot_std"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -0.1])
+    def test_std_must_be_finite_and_non_negative(self, name, value):
+        # An infinite boundary std used to clamp every latitude to a bound.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            NoiseSpec(**{name: value})
