@@ -76,12 +76,13 @@ def cmd_pseudo_label(args) -> int:
     escaping = [v for v in scene.view_ids if os.path.basename(v) != v]
     if args.out_csv and escaping:   # each CSV is <view id>.csv in --out-csv
         raise ValueError(f"view id {escaping[0]!r} is not a file name for --out-csv")
+    if args.out_csv:   # before --out is written, so a bad directory writes nothing
+        os.makedirs(args.out_csv, exist_ok=True)
     kind = BoundaryKind(args.kind)
     scene.pseudo_labels = labels = selftrain.fuse_labels(
         scene, scene.world_polylines((kind,)), [kind], cfg)[kind]
     sceneio.save_scene(scene, args.out)
     if args.out_csv:
-        os.makedirs(args.out_csv, exist_ok=True)
         for vid, pl in labels.items():
             sceneio.write_pseudolabel_csv(
                 pl, os.path.join(args.out_csv, f"{vid}.csv"))

@@ -35,8 +35,9 @@ def check_fusion(estimator: str, sigma_floor: float) -> None:
     """Raise ValueError unless fuse accepts this estimator and sigma floor."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-    if not (0.0 < sigma_floor < math.inf):
-        raise ValueError(f"sigma_floor must be positive and finite, "
+    # Below 1e-12 rad, 1/sigma^2 in the weighted loss can overflow.
+    if not (1e-12 <= sigma_floor < math.inf):
+        raise ValueError(f"sigma_floor must be finite and at least 1e-12 rad, "
                          f"got {sigma_floor!r}")
 
 

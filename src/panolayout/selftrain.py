@@ -13,15 +13,16 @@ and heights are built once per run. The trajectory's wbc is measured
 against each iteration's own labels, whose sigma shrinks as views agree, so
 it can rise while l1 falls: compare iterations by l1.
 
-A run that re-projects at least _WORKER_SAMPLES samples in all, on a
-machine with two usable CPUs and no other live thread, forks one
-_FuseWorker at its start and closes it before it returns. At every step the
-worker fuses the second half of the step's (kind, target) pairs, the whole
-ceiling kind when there are both, from the lifts run pipes to it, while run
-fuses the first half. Labels are merged in pair order, and each depends only
-on the lifts, so the outputs are byte-identical to the one-process path that
-fuse_labels, smaller runs and fewer CPUs take. Hooks and log handlers in
-the worker see only its own half.
+run builds one _FuseWorker at its start and closes it before it returns.
+When the run re-projects at least _WORKER_SAMPLES samples in all, on a
+machine with two usable CPUs and no other live thread, the worker forks a
+process that, at every step, fuses the second half of the step's (kind,
+target) pairs, the whole ceiling kind when there are both, from the lifts
+run sends it over one duplex pipe, while run fuses the first half. Labels
+are merged in pair order, and each depends only on the lifts, so the outputs
+are byte-identical to the one-process path that fuse_labels, smaller runs
+and fewer CPUs take. Hooks and log handlers in the worker see only its own
+half.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import multiprocessing
 import os
-import pickle
 import threading
 from dataclasses import dataclass, field
 
@@ -113,15 +114,16 @@ def select_views(view_ids: list[str], fraction: float) -> list[str]:
     return [view_ids[int(i)] for i in idx]
 
 
-def check_step(scene: Scene, cfg: TrainConfig) -> None:
-    """Raise ValueError if a fuse_labels pass would re-project more than
-    MAX_STEP_SAMPLES (targets x contributors x W) samples of one kind."""
+def check_step(scene: Scene, cfg: TrainConfig) -> int:
+    """The samples (targets x contributors x W) a fuse_labels pass
+    re-projects per kind; ValueError if over MAX_STEP_SAMPLES."""
     n, m = len(scene.view_ids), len(select_views(scene.view_ids, cfg.view_fraction))
     samples = n * m * scene.image_width
     if samples > MAX_STEP_SAMPLES:
         raise ValueError(f"{n} targets x {m} contributors x {scene.image_width} "
                          f"columns = {samples} samples per kind, over the "
                          f"limit of {MAX_STEP_SAMPLES} for one fusion pass")
+    return samples
 
 
 def fuse_labels(scene: Scene, polys, kinds, cfg: TrainConfig):
@@ -157,56 +159,59 @@ class _FuseWorker:
     """A forked process that fuses the second half of every step's (kind,
     target) pairs while run's process fuses the first half.
 
-    Each step pipes the worker the lifts of its kinds and gets back its
-    labels, or the exception its half raised. Poses, view ids and W come
-    from the fork-time scene: refine never changes them. A worker that ends
-    without a reply is closed and its half fused here.
+    It starts only where os.fork and os.sched_getaffinity exist, at least two
+    CPUs are usable, no other thread is alive (a fork copies only the calling
+    one) and the run re-projects at least _WORKER_SAMPLES samples in all.
+    Otherwise, or when no pipe or fork can be had, pid stays None and every
+    pair is fused in this process. Each step sends the worker the lifts of
+    its kinds over one duplex multiprocessing.Pipe and receives its labels,
+    or the exception its half raised. Poses, view ids and W come from the
+    fork-time scene: refine never changes them. A worker that ends without a
+    reply is closed and its half fused here.
     """
 
     def __init__(self, scene: Scene, cfg: TrainConfig, pairs):
+        samples = (cfg.max_iters + 1) * len(scene.kinds()) * check_step(scene, cfg)
         half = len(pairs) // 2
-        self.mine, self.theirs = pairs[:half], pairs[half:]
+        self.mine, self.theirs, self.pid = pairs[:half], pairs[half:], None
         self.kinds = {k for k, _ in self.theirs}
-        child_rx, parent_tx = os.pipe()
-        parent_rx, child_tx = os.pipe()
+        if (samples < _WORKER_SAMPLES or not hasattr(os, "fork")
+                or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1):
+            return
+        try:
+            self.conn, conn = multiprocessing.Pipe()
+        except OSError:   # no pipe to be had: fuse in this process
+            return
         try:
             self.pid = os.fork()
-        except OSError:
-            for fd in (child_rx, parent_tx, parent_rx, child_tx):
-                os.close(fd)
-            raise
+        except OSError:   # no fork to be had: fuse in this process
+            self.conn.close()
         if self.pid == 0:
             try:
-                os.close(parent_tx)
-                os.close(parent_rx)
-                with open(child_rx, "rb") as rx, open(child_tx, "wb") as tx:
-                    while True:   # until EOFError: run closed the pipe
-                        polys = pickle.load(rx)
-                        try:
-                            reply = True, _fuse_pairs(scene, polys, self.theirs, cfg)
-                        except Exception as e:
-                            reply = False, e
-                        tx.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-                        tx.flush()
+                self.conn.close()   # else the child never sees run close its end
+                while True:   # until EOFError: run closed its end
+                    polys = conn.recv()
+                    try:
+                        reply = True, _fuse_pairs(scene, polys, self.theirs, cfg)
+                    except Exception as e:
+                        reply = False, e
+                    conn.send(reply)
             finally:
                 os._exit(0)
-        os.close(child_rx)
-        os.close(child_tx)
-        self.tx, self.rx = open(parent_tx, "wb"), open(parent_rx, "rb")
+        conn.close()
 
     def fuse_labels(self, scene: Scene, polys, cfg: TrainConfig) -> dict:
         if self.pid is not None:
             try:
-                self.tx.write(pickle.dumps([p for p in polys if p.kind in self.kinds],
-                                           pickle.HIGHEST_PROTOCOL))
-                self.tx.flush()
+                self.conn.send([p for p in polys if p.kind in self.kinds])
             except OSError:   # the worker is gone
                 self.close()
         if self.pid is None:
             return _fuse_pairs(scene, polys, self.mine + self.theirs, cfg)
         labels = _fuse_pairs(scene, polys, self.mine, cfg)
         try:
-            ok, theirs = pickle.load(self.rx)
+            ok, theirs = self.conn.recv()
         except Exception:   # no reply, or a cut one: the worker ended
             self.close()
             ok, theirs = True, _fuse_pairs(scene, polys, self.theirs, cfg)
@@ -217,35 +222,13 @@ class _FuseWorker:
         return labels
 
     def close(self) -> None:
-        """Close both pipes and reap the worker; safe to call twice."""
+        """Close the pipe and reap the worker; safe to call twice."""
         if self.pid is None:
             return
         pid, self.pid = self.pid, None
-        for f in (self.tx, self.rx):
-            with contextlib.suppress(OSError):
-                f.close()
+        self.conn.close()
         with contextlib.suppress(ChildProcessError):
             os.waitpid(pid, 0)
-
-
-def _start_worker(scene: Scene, cfg: TrainConfig) -> _FuseWorker | None:
-    """A _FuseWorker when the run is large and a second CPU is free, else None.
-
-    It needs os.fork, at least two usable CPUs, no other live thread (a
-    fork copies only the calling one) and a run that re-projects at least
-    _WORKER_SAMPLES samples in all.
-    """
-    pairs = _pairs(scene, scene.kinds())
-    m = len(select_views(scene.view_ids, cfg.view_fraction))
-    samples = (cfg.max_iters + 1) * len(pairs) * m * scene.image_width
-    if (samples < _WORKER_SAMPLES or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1):
-        return None
-    try:
-        return _FuseWorker(scene, cfg, pairs)
-    except OSError:   # no pipe or no fork to be had: fuse in this process
-        return None
 
 
 def self_train_step(scene: Scene, cfg: TrainConfig, polys, worker=None):
@@ -289,13 +272,12 @@ def run(scene: Scene, cfg: TrainConfig):
     A scene over check_step's bound raises ValueError before any work. An
     undefined IoU (MetricError) is left blank, with a warning.
     """
-    check_step(scene, cfg)
-    truth = None if scene.ground_truth is None else footprint_truth(scene)
     records: list[IterationRecord] = []
     state = best_state = scene
     best_h, best_iter, bounds = math.inf, 0, None
-    worker = _start_worker(scene, cfg)
+    worker = _FuseWorker(scene, cfg, _pairs(scene, scene.kinds()))   # checks the step
     try:
+        truth = None if scene.ground_truth is None else footprint_truth(scene)
         for k in range(cfg.max_iters + 1):
             polys = state.world_polylines()   # the one lift of this state
             # The last step's update is unused.
@@ -320,6 +302,5 @@ def run(scene: Scene, cfg: TrainConfig):
             records.append(rec)
             state = next_state
     finally:
-        if worker is not None:
-            worker.close()
+        worker.close()
     return TrainTrajectory(records, best_iter), best_state

@@ -125,6 +125,18 @@ class TestPseudoLabel:
         files = sorted(csv_dir.glob("*.csv"))
         assert len(files) == 5
 
+    def test_out_csv_naming_a_file_is_2_and_writes_no_out(self, scene_path,
+                                                          tmp_path, capsys):
+        from panolayout import cli
+        out, csv_file = tmp_path / "labeled.json", tmp_path / "labels"
+        csv_file.write_text("not a directory")
+        assert cli.main(["pseudo-label", "--scene", str(scene_path), "--out", str(out),
+                         "--out-csv", str(csv_file)]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "FileExistsError"
+        assert not out.exists()
+        assert csv_file.read_text() == "not a directory"
+
     def test_view_id_naming_a_path_is_2_and_writes_nothing(self, scene_path,
                                                              tmp_path, capsys):
         # Each CSV is <view id>.csv inside --out-csv, so an id holding a path
@@ -458,6 +470,7 @@ class TestErrorHandling:
         ("refine", "--padding", "inf"),
         ("refine", "--sigma-floor", "inf"),
         ("pseudo-label", "--sigma-floor", "inf"),
+        ("refine", "--sigma-floor", "1e-200"),
     ])
     def test_bad_padding_or_sigma_floor_is_2(self, scene_path, tmp_path,
                                               command, flag, value):
@@ -502,6 +515,7 @@ class TestErrorHandling:
         ("refine", ["--padding", "-1"], "padding"),
         ("refine", ["--sigma-floor", "0"], "sigma_floor"),
         ("pseudo-label", ["--sigma-floor", "inf"], "sigma_floor"),
+        ("pseudo-label", ["--sigma-floor", "1e-200"], "sigma_floor"),
     ])
     def test_bad_flags_rejected_before_any_stack(self, scene_path, tmp_path,
                                                   capsys, monkeypatch,

@@ -1,7 +1,10 @@
+import errno
 import itertools
 import math
+import multiprocessing
 import os
 import platform
+import signal
 import threading
 import tracemalloc
 from dataclasses import astuple, replace
@@ -542,6 +545,12 @@ def _scene_bytes(scene: Scene) -> str:
     return dumps_document(scene_to_document(scene))
 
 
+def _open_fds():
+    """This process's open fds, or None where /proc is absent."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") \
+        else None
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -675,6 +684,63 @@ class TestFuseWorker:
         assert _scene_bytes(best) == _scene_bytes(ref_best)
         # Step 0 fuses its own half, then the dead worker's; later steps all.
         assert len(seen) == 2 * len(scene.frames) * (cfg.max_iters + 1)
+
+    @staticmethod
+    def assert_serial_result(scene, cfg, ref):
+        """run gives ref, the one-process result, closes every fd it opened
+        and leaves no child; the fd part needs /proc."""
+        ref_traj, ref_best = ref
+        fds = _open_fds()
+        traj, best = run(scene, cfg)
+        assert _open_fds() == fds
+        _assert_no_child()
+        assert _bits(traj.records) == _bits(ref_traj.records)
+        assert traj.best_iter == ref_traj.best_iter
+        assert _scene_bytes(best) == _scene_bytes(ref_best)
+
+    def test_failed_fork_fuses_here(self, forks, monkeypatch):
+        def no_fork():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, "no fork")
+        scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
+        ref = _serial_run(scene, cfg)
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.assert_serial_result(scene, cfg, ref)
+        assert forks == [os.getpid()]
+        # The pipe is closed at once, not when the worker is collected.
+        fds = _open_fds()
+        worker = selftrain._FuseWorker(scene, cfg, selftrain._pairs(scene, scene.kinds()))
+        assert worker.pid is None and _open_fds() == fds
+
+    def test_failed_pipe_fuses_here(self, forks, monkeypatch):
+        pipes = []
+
+        def no_pipe(*args):
+            pipes.append(args)
+            raise OSError(errno.EMFILE, "no pipe")
+        scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
+        ref = _serial_run(scene, cfg)
+        monkeypatch.setattr(multiprocessing, "Pipe", no_pipe)
+        self.assert_serial_result(scene, cfg, ref)
+        assert pipes == [()] and forks == []
+
+    def test_worker_killed_between_steps_is_replaced_here(self, forks,
+                                                           monkeypatch):
+        scene, cfg = self.lroom(), TrainConfig(max_iters=3, grid_size=128)
+        ref = _serial_run(scene, cfg)
+        step, killed = selftrain.self_train_step, []
+
+        def kill_at_step_2(state, cfg, polys, worker):
+            if len(killed) == 2:
+                os.kill(worker.pid, signal.SIGKILL)
+                # Wait for the death but leave the reaping to close.
+                os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+            killed.append(worker.pid)
+            return step(state, cfg, polys, worker)
+        monkeypatch.setattr(selftrain, "self_train_step", kill_at_step_2)
+        self.assert_serial_result(scene, cfg, ref)
+        assert forks == [os.getpid()]
+        assert killed[2] is not None and killed[3] is None   # closed at step 2
 
     def test_no_fork_while_another_thread_runs(self, forks):
         scene, cfg = self.lroom(), TrainConfig(max_iters=1, grid_size=128)
