@@ -2,21 +2,20 @@
 refine, render-density.
 
 Exit codes: 0 success, 2 usage error or MemoryError, 3 scene format or
-validation error, 4 numeric or degenerate-geometry error. Every failure,
-usage errors too, ends in a machine-readable JSON object as the last stderr
-line. All subcommands are deterministic given their flags and seeds.
+validation error, 4 numeric or degenerate-geometry error, 130 interrupted
+(SIGINT). Every failure, usage errors too, ends in a machine-readable JSON
+object as the last stderr line. All subcommands are deterministic given their
+flags and seeds.
 
-main builds its parser once per process and pins glibc's malloc mmap and
-trim thresholds (32 and 64 MiB): otherwise whether each re-projection kernel
-call's few MB of temporaries are unmapped and faulted back in on every call
-depends on which large blocks the process freed before. The library never
-touches the allocator.
+main builds its parser once per process. Before a subcommand loads anything,
+it checks that the directory of every output file exists (exit 2), so a
+mistyped path costs no work and leaves no partial outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
+import errno
 import functools
 import json
 import logging
@@ -74,18 +73,18 @@ def cmd_pseudo_label(args) -> int:
     scene = _load(args)
     selftrain.check_step(scene, cfg)
     escaping = [v for v in scene.view_ids if os.path.basename(v) != v]
-    if args.out_csv and escaping:   # each CSV is <view id>.csv in --out-csv
+    if args.csv_dir and escaping:   # each CSV is <view id>.csv in --out-csv
         raise ValueError(f"view id {escaping[0]!r} is not a file name for --out-csv")
-    if args.out_csv:   # before --out is written, so a bad directory writes nothing
-        os.makedirs(args.out_csv, exist_ok=True)
+    if args.csv_dir:   # before --out is written, so a bad directory writes nothing
+        os.makedirs(args.csv_dir, exist_ok=True)
     kind = BoundaryKind(args.kind)
     scene.pseudo_labels = labels = selftrain.fuse_labels(
         scene, scene.world_polylines((kind,)), [kind], cfg)[kind]
     sceneio.save_scene(scene, args.out)
-    if args.out_csv:
+    if args.csv_dir:
         for vid, pl in labels.items():
             sceneio.write_pseudolabel_csv(
-                pl, os.path.join(args.out_csv, f"{vid}.csv"))
+                pl, os.path.join(args.csv_dir, f"{vid}.csv"))
     return 0
 
 
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fusion_args(p)
     p.add_argument("--kind", choices=("floor", "ceiling"), default="floor")
     p.add_argument("--out", required=True, help="scene JSON with pseudo_labels")
-    p.add_argument("--out-csv", default=None,
+    p.add_argument("--out-csv", dest="csv_dir", default=None,
                    help="directory for per-view pseudo-label CSVs")
     p.set_defaults(func=cmd_pseudo_label)
 
@@ -254,31 +253,28 @@ def _emit_error(exc: Exception) -> None:
 _parser = functools.cache(build_parser)  # one parser per process
 
 
-# glibc's mallopt parameter numbers; 32 MiB is its dynamic mmap maximum.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+def _check_out_dirs(args) -> None:
+    """Raise FileNotFoundError for an output file whose directory is missing.
 
-
-@functools.cache
-def _pin_malloc_thresholds() -> None:
-    """Serve blocks below 32 MiB from a heap trimmed above 64 MiB (glibc)."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # no mallopt, or no CDLL(None)
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    pseudo-label's --out-csv (dest csv_dir) is a directory it makes."""
+    for dest in ("out", "out_map", "out_csv", "out_traj", "out_scene"):
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, "no such output directory", path)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    _pin_malloc_thresholds()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:  # a usage error (2), already reported, or --help
         return e.code
     try:
+        _check_out_dirs(args)
         return args.func(args)
+    except KeyboardInterrupt:   # SIGINT; run's finally has reaped any worker
+        _emit_error(KeyboardInterrupt("interrupted"))
+        return 130
     except SceneFormatError as e:
         _emit_error(e)
         return 3

@@ -23,6 +23,9 @@ sees values in [-2*pi, 4*pi), where a conditional add or subtract of 2*pi
 equals np.remainder bit for bit: fmod is exact, and x - 2*pi is exact on
 [2*pi, 4*pi] by Sterbenz's lemma. Column indices likewise stay below 2*W and
 wrap with one conditional subtract.
+
+Importing the module frees one 16 MiB block, so that glibc keeps each
+call's temporaries on the heap in library callers and the CLI alike.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ _EPS = 1e-9
 # call's fixed cost does not dominate (smaller calls were measurably slower,
 # see CHANGES.md), small enough to bound the call's temporaries.
 _CALL_SAMPLES = 2 ** 14
+# A call's temporaries total a few MB. By default glibc mmaps every block
+# above 128 KiB and trims the heap once 128 KiB lie free at its top, so each
+# call would fault its pages in afresh. Freeing one mmapped block of at most
+# 32 MiB raises the mmap threshold to its size and the trim threshold to twice
+# that, for the whole process and its forks (mallopt(3), "dynamic mmap
+# threshold"): here 16 and 32 MiB. Other allocators, and a host that has set
+# these thresholds itself, ignore the freed block.
+np.empty(2 ** 21)
 
 
 @dataclass

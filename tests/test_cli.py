@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import glob
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -539,6 +542,81 @@ class TestErrorHandling:
         assert word in err["error"]["message"]
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,outs", [
+        (["refine", "--iters", "20", "--out-traj", "nodir/t.csv",
+          "--out-scene", "b.json"], ["b.json"]),
+        (["refine", "--out-traj", "t.csv", "--out-scene", "nodir/b.json"],
+         ["t.csv"]),
+        (["metric", "--out-map", "m.pgm", "--out", "nodir/c.csv"], ["m.pgm"]),
+        (["evaluate", "--out", "r.json", "--out-csv", "nodir/r.csv"], ["r.json"]),
+    ])
+    def test_missing_output_directory_is_2_before_any_work(
+            self, scene_path, tmp_path, capsys, monkeypatch, argv, outs):
+        from panolayout import cli, selftrain
+        steps = []
+
+        def failing(scene, cfg):
+            steps.append(1)
+            raise AssertionError("refine ran a step")
+
+        monkeypatch.setattr(selftrain, "run", failing)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([argv[0], "--scene", str(scene_path), *argv[1:]]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "FileNotFoundError"
+        assert "nodir" in err["error"]["message"]
+        assert steps == []
+        assert not any((tmp_path / name).exists() for name in outs)
+
+    def test_keyboard_interrupt_is_130(self, scene_path, tmp_path, capsys,
+                                       monkeypatch):
+        from panolayout import cli, selftrain
+
+        def interrupted(scene, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(selftrain, "run", interrupted)
+        assert cli.main(["refine", "--scene", str(scene_path),
+                         "--out-traj", str(tmp_path / "traj.csv"),
+                         "--out-scene", str(tmp_path / "best.json")]) == 130
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "KeyboardInterrupt"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_sigint_to_refine_is_130_and_leaves_no_process(self, tmp_path):
+        path = tmp_path / "large.json"
+        res = run_cli("synth", "--room", "lshape", "--n-views", "16",
+                      "--width", "1024", "--seed", "7",
+                      "--noise-boundary-std", "0.05", "--out", str(path))
+        assert res.returncode == 0, res.stderr
+        traj = str(tmp_path / "traj.csv")
+        # A background job may start with SIGINT ignored; the child must not.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "panolayout", "refine", "--scene", str(path),
+             "--iters", "50", "--out-traj", traj,
+             "--out-scene", str(tmp_path / "best.json")],
+            stderr=subprocess.PIPE, text=True, env=child_env(),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        time.sleep(1.5)
+        child.send_signal(signal.SIGINT)
+        err = child.communicate(timeout=60)[1]
+        assert child.returncode == 130, err
+        assert json.loads(err.strip().splitlines()[-1])["error"]["type"] == \
+            "KeyboardInterrupt"
+
+        def left():   # the worker is a fork: it has the same command line
+            pids = []
+            for cmdline in glob.glob("/proc/[0-9]*/cmdline"):
+                with contextlib.suppress(OSError), open(cmdline, "rb") as f:
+                    if traj.encode() in f.read():
+                        pids.append(cmdline)
+            return pids
+
+        deadline = time.monotonic() + 2.0
+        while left() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert left() == []
 
 
 def _drop_gt_floor(doc):
