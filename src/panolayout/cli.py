@@ -8,8 +8,9 @@ object as the last stderr line. All subcommands are deterministic given their
 flags and seeds.
 
 main builds its parser once per process. Before a subcommand loads anything,
-it checks that the directory of every output file exists (exit 2), so a
-mistyped path costs no work and leaves no partial outputs.
+it checks every output file path (exit 2): its directory exists, it is not a
+directory, and no other output flag names the same file. So a mistyped path
+costs no work and leaves no partial outputs.
 """
 
 from __future__ import annotations
@@ -253,14 +254,22 @@ def _emit_error(exc: Exception) -> None:
 _parser = functools.cache(build_parser)  # one parser per process
 
 
-def _check_out_dirs(args) -> None:
-    """Raise FileNotFoundError for an output file whose directory is missing.
+def _check_outputs(args) -> None:
+    """Raise OSError for an output file whose directory is missing or that is
+    a directory, ValueError for two output flags naming one path.
 
-    pseudo-label's --out-csv (dest csv_dir) is a directory it makes."""
-    for dest in ("out", "out_map", "out_csv", "out_traj", "out_scene"):
-        path = getattr(args, dest, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    --scene may name an output (an in-place update). pseudo-label's
+    --out-csv (dest csv_dir) is a directory it makes, so only its path counts."""
+    seen = [os.path.realpath(args.csv_dir)] if getattr(args, "csv_dir", None) else []
+    for path in filter(None, (getattr(args, dest, None) for dest in (
+            "out", "out_map", "out_csv", "out_traj", "out_scene"))):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, "no such output directory", path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+        if os.path.realpath(path) in seen:
+            raise ValueError(f"two output flags name one path: {path}")
+        seen.append(os.path.realpath(path))
 
 
 def main(argv=None) -> int:
@@ -270,7 +279,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # a usage error (2), already reported, or --help
         return e.code
     try:
-        _check_out_dirs(args)
+        _check_outputs(args)
         return args.func(args)
     except KeyboardInterrupt:   # SIGINT; run's finally has reaped any worker
         _emit_error(KeyboardInterrupt("interrupted"))

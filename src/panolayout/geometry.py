@@ -20,6 +20,7 @@ Equirectangular pixel grid (width W, height H), pixel-center sampling:
   - lat(v) = pi/2 - pi*(v + 0.5)/H
 
 Poses are camera-to-world: p_world = rotation @ p_camera + translation.
+CameraPose holds the pose rules of a scene file (is_rotation, MAX_METERS).
 
 BoundaryKind.side (-1.0 floor, +1.0 ceiling) is the one spelling of a kind's
 side of the horizon: its latitudes satisfy 0 < side * lat < pi/2, and its
@@ -50,7 +51,18 @@ MAX_METERS = 1e6
 # Evaluation-convention camera height, used when an input omits it.
 DEFAULT_CAMERA_HEIGHT = 1.6
 
-_ROTATION_TOL = 1e-9
+
+def rotation_defect(R: np.ndarray) -> float:
+    """The largest entry of |R^T R - I| for a 3x3 R; inf when an entry is not
+    finite or exceeds 2 in magnitude, as no rotation's does."""
+    return float(np.max(np.abs(R.T @ R - np.eye(3)))) \
+        if np.all(np.abs(R) <= 2.0) else math.inf
+
+
+def is_rotation(R: np.ndarray) -> bool:
+    """Whether the 3x3 R is a rotation within 1e-9: rotation_defect(R) and
+    |det R - 1| both at most 1e-9. CameraPose accepts exactly these."""
+    return rotation_defect(R) <= 1e-9 and abs(np.linalg.det(R) - 1.0) <= 1e-9
 
 
 class BoundaryKind(Enum):
@@ -99,8 +111,12 @@ class SphericalBoundary:
 class CameraPose:
     """SE(3) camera-to-world transform plus the camera-to-floor distance.
 
-    ceil_height is optional; it is resolved from a floor/ceiling boundary
-    pair via ceiling_height() before ceiling boundaries are projected.
+    The rotation must pass is_rotation, every translation entry and
+    floor_height must lie within MAX_METERS (floor_height above 0), so that
+    no squared world coordinate overflows; ValueError otherwise. These are
+    the pose rules of a scene file too. ceil_height is optional; it is
+    resolved from a floor/ceiling boundary pair via ceiling_height() before
+    ceiling boundaries are projected.
     """
 
     rotation: np.ndarray
@@ -115,18 +131,17 @@ class CameraPose:
             raise ValueError(f"rotation must be 3x3, got {R.shape}")
         if t.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {t.shape}")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
-            raise ValueError("pose entries must be finite")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ROTATION_TOL:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(R) - 1.0) > _ROTATION_TOL:
-            raise ValueError("rotation determinant must be +1 within 1e-9")
-        if not (self.floor_height > 0.0):
-            raise ValueError("floor_height must be positive")
+        if not is_rotation(R):
+            raise ValueError("rotation must be orthonormal, det +1, within 1e-9")
+        if not np.all(np.abs(t) <= MAX_METERS):
+            raise ValueError("translation entries must be finite, within 1e6 m")
+        if not (0.0 < self.floor_height <= MAX_METERS):
+            raise ValueError("floor_height must be a positive number <= 1e6 m")
         if self.ceil_height is not None and not (self.ceil_height > 0.0):
             raise ValueError("ceil_height must be positive when set")
         self.rotation = R
         self.translation = t
+        self.floor_height = float(self.floor_height)
 
     @staticmethod
     def from_yaw(yaw: float, translation=(0.0, 0.0, 0.0),

@@ -1,12 +1,35 @@
-"""Scene container: a set of views registered in one world frame."""
+"""Scene container: a set of views registered in one world frame.
+
+Scene and CameraPose own every rule about a scene's values, so a scene built
+in Python obeys the same rules as one loaded from a file: save_scene never
+gets a scene that load_scene would reject. sceneio checks only what concerns
+the JSON document itself.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import SceneFormatError
 from .geometry import BoundaryKind, CameraPose, SphericalBoundary, WorldPolyline, \
     boundary_to_world, ceiling_height
+
+
+def check_image_size(W, H) -> None:
+    """Raise SceneFormatError unless W is an int >= 8 and H an int in [1, W]."""
+    if not (type(W) is int and W >= 8):
+        raise SceneFormatError("image_width must be an int >= 8")
+    # Equirectangular panoramas are W/2 tall; evaluate allocates H-long rows.
+    if not (type(H) is int and 1 <= H <= W):
+        raise SceneFormatError("image_height must be an int in [1, image_width]")
+
+
+def has_control(s: str) -> bool:
+    """Whether s holds a control character, which no scene string may."""
+    return any(ord(c) < 0x20 for c in s)
 
 
 @dataclass
@@ -26,8 +49,15 @@ class ViewFrame:
 class Scene:
     """Registered views sharing one world coordinate system.
 
-    ground_truth, when present, mirrors the frames' boundaries (same ids).
-    pseudo_labels maps view id to a fused label produced by pseudolabel.fuse.
+    ground_truth maps view ids to their true boundaries, pseudo_labels maps
+    view ids to labels produced by pseudolabel.fuse; every id names a frame.
+    Construction raises SceneFormatError unless check_image_size passes,
+    frame ids are distinct non-empty strings without control characters,
+    every frame and ground-truth entry has a floor boundary and each boundary
+    is of its kind and image_width columns, every pseudo-label array is
+    image_width long, and meta is a dict whose strings (keys included) hold
+    no control characters and whose floats are finite. It runs in
+    O(frames + labels) plus a walk over meta, reading no boundary array.
     """
 
     frames: list[ViewFrame]
@@ -38,17 +68,54 @@ class Scene:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        W = self.image_width
+        check_image_size(W, self.image_height)
         if not self.frames:
             raise SceneFormatError("scene has no frames")
-        ids = [f.view_id for f in self.frames]
-        if len(set(ids)) != len(ids):
-            raise SceneFormatError("duplicate view ids in scene")
         for f in self.frames:
-            for b in (f.boundary_floor, f.boundary_ceiling):
-                if b is not None and b.width != self.image_width:
-                    raise SceneFormatError(
-                        f"view {f.view_id!r}: boundary width {b.width} != "
-                        f"image_width {self.image_width}")
+            vid = f.view_id
+            if not (isinstance(vid, str) and vid) or has_control(vid):
+                raise SceneFormatError(f"frame id {vid!r}: must be a non-empty "
+                                       f"string, control characters not allowed")
+            self._check_boundaries(f"frame {vid!r}", f.boundary)
+        ids = set(self.view_ids)
+        if len(ids) != len(self.frames):
+            raise SceneFormatError("duplicate view ids in scene")
+        for key in ("ground_truth", "pseudo_labels"):
+            for vid in getattr(self, key) or ():
+                if vid not in ids:
+                    raise SceneFormatError(f"{key} {vid!r}: names no frame")
+        for vid, gt in (self.ground_truth or {}).items():
+            self._check_boundaries(f"ground_truth {vid!r}", gt.get)
+        for vid, pl in (self.pseudo_labels or {}).items():
+            if any(np.shape(a) != (W,) for a in (pl.lat_bar, pl.sigma, pl.support)):
+                raise SceneFormatError(
+                    f"pseudo_labels {vid!r}: arrays must have length {W}")
+        if not isinstance(self.meta, dict):
+            raise SceneFormatError("meta must be a JSON object")
+        stack = [self.meta]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, dict):
+                stack += [*v.keys(), *v.values()]
+            elif isinstance(v, (list, tuple)):
+                stack += v
+            # NaN, Infinity and 1e999 load as floats that no scene file can hold.
+            elif (isinstance(v, str) and has_control(v)
+                  or isinstance(v, float) and not math.isfinite(v)):
+                raise SceneFormatError(f"meta: {v!r}: control characters are not "
+                                       f"allowed in strings, numbers must be finite")
+
+    def _check_boundaries(self, what: str, boundary) -> None:
+        """boundary(kind) for each kind: the floor present, each one present
+        of that kind and image_width columns wide."""
+        if boundary(BoundaryKind.FLOOR) is None:
+            raise SceneFormatError(f"{what}: boundary_floor is required")
+        for kind in BoundaryKind:
+            b = boundary(kind)
+            if b is not None and (b.kind is not kind or b.width != self.image_width):
+                raise SceneFormatError(f"{what}: boundary_{kind.value} must be a "
+                                       f"{kind.value} boundary of image_width columns")
 
     @property
     def view_ids(self) -> list[str]:

@@ -3,6 +3,13 @@
 Scene files are JSON (version "1") with every float written with 17
 significant digits, so save -> load -> save is byte-identical. CSV outputs
 follow RFC 4180 (CRLF line endings, header row).
+
+The loader checks only what concerns the document: JSON types, true or false
+inside a numeric array, an id repeated within one list, the 1e-6 rotation
+gate and its repair, the floor_height default, and pseudo-label values.
+Every other rule belongs to Scene and CameraPose, whose errors it reports
+as SceneFormatError naming the record, so any scene that the constructors
+accept saves to a file that loads.
 """
 
 from __future__ import annotations
@@ -16,20 +23,19 @@ import math
 import numpy as np
 
 from .errors import SceneFormatError
-from .geometry import BoundaryKind, CameraPose, DEFAULT_CAMERA_HEIGHT, MAX_METERS, \
-    SphericalBoundary, row_to_latitude
+from .geometry import BoundaryKind, CameraPose, DEFAULT_CAMERA_HEIGHT, \
+    SphericalBoundary, is_rotation, rotation_defect, row_to_latitude
 from .pseudolabel import PseudoLabel
 from .reprojection import BoundaryStack
-from .scene import Scene, ViewFrame
+from .scene import Scene, ViewFrame, check_image_size, has_control
 
 logger = logging.getLogger(__name__)
 
 SCENE_VERSION = "1"
 
-# Rotations are accepted up to this orthonormality defect on load; beyond
-# the strict pose tolerance they are projected back onto SO(3).
+# Rotations are accepted up to this orthonormality defect on load; those
+# that CameraPose would reject are projected back onto SO(3).
 _LOAD_ROTATION_TOL = 1e-6
-_STRICT_ROTATION_TOL = 1e-9
 
 
 def _float_array(values) -> str:
@@ -48,10 +54,6 @@ def _float_array(values) -> str:
 def format_float(x: float) -> str:
     """One float as _float_array writes it."""
     return _float_array((x,))
-
-
-def _has_control(s: str) -> bool:
-    return any(ord(c) < 0x20 for c in s)
 
 
 def _dump(obj, out: list[str]) -> None:
@@ -79,7 +81,7 @@ def _dump(obj, out: list[str]) -> None:
                 _dump(v, out)
             out.append("]")
     else:
-        if isinstance(obj, str) and _has_control(obj):
+        if isinstance(obj, str) and has_control(obj):
             raise ValueError("control characters are not allowed in strings")
         out.append(json.dumps(obj))
 
@@ -170,38 +172,36 @@ def _records(values, what: str) -> list[dict]:
     return values
 
 
-def _parse_boundary(values, kind: BoundaryKind, W: int, ctx: str,
-                    pixel_rows: bool, H: int) -> SphericalBoundary | None:
-    if values is None:
-        return None
-    arr = _array(values, ctx, f"boundary_{kind.value}")
-    _require(arr.ndim == 1 and arr.shape[0] == W,
-             f"{ctx}: boundary length {arr.shape} != image_width {W}")
-    if pixel_rows:
-        arr = row_to_latitude(arr, H)
+def _construct(ctx: str, make, *args):
+    """make(*args), a ValueError or OverflowError raised as a SceneFormatError
+    naming ctx."""
     try:
-        return SphericalBoundary(arr, kind)
-    except ValueError as e:
+        return make(*args)
+    except (ValueError, OverflowError) as e:   # Overflow: H beyond a float
         raise SceneFormatError(f"{ctx}: {e}") from e
 
 
-def _parse_pair(record: dict, W: int, ctx: str, pixel_rows: bool, H: int):
-    """A frame's or ground-truth record's (floor, ceiling) boundaries: the
-    floor is required, the ceiling None when absent."""
-    bf = _parse_boundary(record.get("boundary_floor"), BoundaryKind.FLOOR,
-                         W, ctx, pixel_rows, H)
-    _require(bf is not None, f"{ctx}: boundary_floor is required")
-    return bf, _parse_boundary(record.get("boundary_ceiling"), BoundaryKind.CEILING,
-                               W, ctx, pixel_rows, H)
+def _boundaries(record: dict, ctx: str, pixel_rows: bool, H: int) -> dict:
+    """A frame's or ground-truth record's boundaries by kind, those present."""
+    out = {}
+    for kind in BoundaryKind:
+        key = f"boundary_{kind.value}"
+        if record.get(key) is not None:
+            lat = _array(record[key], ctx, key)
+            if pixel_rows:
+                with np.errstate(over="ignore"):   # a huge row becomes inf, rejected
+                    lat = _construct(ctx, row_to_latitude, lat, H)
+            out[kind] = _construct(ctx, SphericalBoundary, lat, kind)
+    return out
 
 
-def _entries(doc: dict, key: str, frame_ids):
-    """(id, ctx, record) for each record of doc[key]; each names a frame once."""
+def _entries(doc: dict, key: str):
+    """(id, ctx, record) for each record of doc[key], each id once."""
     seen = set()
     for record in _records(doc[key], key):
         vid = record.get("id")
         ctx = f"{key} {vid!r}"
-        _require(isinstance(vid, str) and vid in frame_ids, f"{ctx}: names no frame")
+        _require(isinstance(vid, str), f"{ctx}: id must be a string")
         _require(vid not in seen, f"{ctx}: id repeated")
         seen.add(vid)
         yield vid, ctx, record
@@ -211,91 +211,56 @@ def _parse_rotation(values, ctx: str) -> np.ndarray:
     R = _array(values, ctx, "rotation")
     _require(R.shape == (9,), f"{ctx}: rotation must be 9 row-major floats")
     R = R.reshape(3, 3)
-    defect = float(np.max(np.abs(R.T @ R - np.eye(3))))
+    defect = rotation_defect(R)
     _require(defect <= _LOAD_ROTATION_TOL and np.linalg.det(R) > 0,
              f"{ctx}: rotation not orthonormal within {_LOAD_ROTATION_TOL}")
-    if defect > _STRICT_ROTATION_TOL:
-        # Repair mildly denormalized poses; exact ones keep their bits.
-        # det(R) > 0 makes det(u) * det(vt) = +1, so u @ vt is a rotation.
+    if not is_rotation(R):
+        # Repair exactly the rotations CameraPose rejects; others keep their
+        # bits. det(R) > 0 makes det(u) * det(vt) = +1, so u @ vt is a rotation.
         u, _, vt = np.linalg.svd(R)
         R = u @ vt
         logger.warning("%s: rotation re-orthonormalized (defect %.2e)", ctx, defect)
     return R
 
 
-def _leaves(value):
-    """Every string and number in a JSON value, dict keys included."""
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, dict):
-            stack += [*v.keys(), *v.values()]
-        elif isinstance(v, list):
-            stack += v
-        else:
-            yield v
-
-
 def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
+    """The Scene a parsed scene document describes; SceneFormatError if it
+    breaks a rule of the document or of Scene and CameraPose."""
     _require(isinstance(doc, dict), "scene document must be a JSON object")
     _require(doc.get("version") == SCENE_VERSION,
              f"unrecognized scene version {doc.get('version')!r}")
-    W = doc.get("image_width")
-    H = doc.get("image_height")
-    _require(type(W) is int and W >= 8, "image_width must be an int >= 8")
-    # Equirectangular panoramas are W/2 tall; evaluate allocates H-long rows.
-    _require(type(H) is int and 1 <= H <= W,
-             "image_height must be an int in [1, image_width]")
-    raw_frames = _records(doc.get("frames"), "frames")
-    _require(len(raw_frames) > 0, "frames must be non-empty")
+    W, H = doc.get("image_width"), doc.get("image_height")
+    check_image_size(W, H)   # before any pixel row is divided by H
 
     frames = []
-    for rf in raw_frames:
-        vid = rf.get("id")
-        _require(isinstance(vid, str) and vid != "", "frame id must be a string")
-        _require(not _has_control(vid),
-                 f"frame id {vid!r}: control characters are not allowed")
-        ctx = f"frame {vid!r}"
+    for rf in _records(doc.get("frames"), "frames"):
+        ctx = f"frame {rf.get('id')!r}"
         pose_doc = rf.get("pose") or {}
         _require(isinstance(pose_doc, dict), f"{ctx}: pose must be a JSON object")
         R = _parse_rotation(pose_doc.get("rotation"), ctx)
         t = _array(pose_doc.get("translation"), ctx, "translation")
-        _require(t.shape == (3,), f"{ctx}: translation must be a 3-vector")
-        _require(bool(np.all(np.abs(t) <= MAX_METERS)),
-                 f"{ctx}: translation entries must lie in [-1e6, 1e6] m")
         h = rf.get("floor_height")
         if h is None:
             h = DEFAULT_CAMERA_HEIGHT
             logger.warning("%s: floor_height missing, defaulting to %.1f m",
                            ctx, DEFAULT_CAMERA_HEIGHT)
-        _require(isinstance(h, (int, float)) and not isinstance(h, bool)
-                 and 0 < h <= MAX_METERS,
-                 f"{ctx}: floor_height must be a positive number <= 1e6 m")
-        bf, bc = _parse_pair(rf, W, ctx, pixel_rows, H)
-        try:
-            pose = CameraPose(R, t, float(h))
-        except ValueError as e:
-            raise SceneFormatError(f"{ctx}: {e}") from e
-        frames.append(ViewFrame(vid, pose, bf, bc))
+        _require(isinstance(h, (int, float)) and not isinstance(h, bool),
+                 f"{ctx}: floor_height must be a number")
+        b = _boundaries(rf, ctx, pixel_rows, H)
+        frames.append(ViewFrame(rf.get("id"), _construct(ctx, CameraPose, R, t, h),
+                                b.get(BoundaryKind.FLOOR), b.get(BoundaryKind.CEILING)))
 
-    frame_ids = {f.view_id for f in frames}
     ground_truth = None
     if doc.get("ground_truth") is not None:
-        ground_truth = {}
-        for vid, ctx, rg in _entries(doc, "ground_truth", frame_ids):
-            bf, bc = _parse_pair(rg, W, ctx, pixel_rows, H)
-            ground_truth[vid] = {BoundaryKind.FLOOR: bf}
-            if bc is not None:
-                ground_truth[vid][BoundaryKind.CEILING] = bc
+        ground_truth = {vid: _boundaries(rg, ctx, pixel_rows, H)
+                        for vid, ctx, rg in _entries(doc, "ground_truth")}
 
     pseudo_labels = None
     if doc.get("pseudo_labels") is not None:
         pseudo_labels = {}
-        for vid, ctx, rp in _entries(doc, "pseudo_labels", frame_ids):
+        for vid, ctx, rp in _entries(doc, "pseudo_labels"):
             lat_bar, sigma, support = (_array(rp.get(k), ctx, k)
                                        for k in ("lat_bar", "sigma", "support"))
-            _require(all(a.shape == (W,) for a in (lat_bar, sigma, support)),
-                     f"{ctx}: arrays must have length {W}")
             _require(np.all(np.isfinite(lat_bar)) and np.all(np.isfinite(sigma)),
                      f"{ctx}: lat_bar and sigma must be finite")
             _require(np.all((support >= 0) & (support <= len(frames))
@@ -304,20 +269,7 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
             pseudo_labels[vid] = PseudoLabel(lat_bar, sigma,
                                              support.astype(np.int64))
 
-    meta = doc.get("meta") or {}
-    _require(isinstance(meta, dict), "meta must be a JSON object")
-    leaves = list(_leaves(meta))
-    _require(not any(isinstance(v, str) and _has_control(v) for v in leaves),
-             "meta: control characters are not allowed in strings")
-    # NaN, Infinity and 1e999 load as floats that no scene file can hold.
-    _require(all(math.isfinite(v) for v in leaves if isinstance(v, float)),
-             "meta: numbers must be finite")
-    try:
-        return Scene(frames, W, H, ground_truth, pseudo_labels, meta)
-    except SceneFormatError:
-        raise
-    except ValueError as e:
-        raise SceneFormatError(str(e)) from e
+    return Scene(frames, W, H, ground_truth, pseudo_labels, doc.get("meta") or {})
 
 
 def load_scene(path, pixel_rows: bool = False) -> Scene:

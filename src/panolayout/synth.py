@@ -44,7 +44,7 @@ class RoomSpec:
         object.__setattr__(self, "footprint", poly)
         if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
             raise ValueError(f"footprint must be (M>=3, 2), got {poly.shape}")
-        if not np.all(np.abs(poly) <= MAX_METERS):  # the loader's bound
+        if not np.all(np.abs(poly) <= MAX_METERS):  # CameraPose's bound
             raise ValueError("footprint must be finite and within 1e6 m")
         if _signed_area(poly) <= 0.0:
             raise ValueError("footprint must be counter-clockwise with area > 0")
@@ -269,9 +269,10 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
 
     Boundary latitudes get N(0, boundary_std); with probability outlier_rate
     a column is redrawn with outlier_std instead. Translations move in the
-    horizontal plane (ValueError beyond 1e6 m), yaw by pose_rot_std. Ground
-    truth and metadata pass through, pseudo-labels are dropped. Deterministic
-    given noise.seed; zero stds reproduce the scene exactly.
+    horizontal plane (CameraPose's ValueError beyond 1e6 m), yaw by
+    pose_rot_std. Ground truth and metadata pass through, pseudo-labels are
+    dropped. Deterministic given noise.seed; zero stds reproduce the scene
+    exactly.
     """
     children = np.random.SeedSequence(noise.seed).spawn(len(scene.frames))
     frames = []
@@ -298,8 +299,6 @@ def perturb(scene: Scene, noise: NoiseSpec) -> Scene:
             rotation = CameraPose.from_yaw(dyaw).rotation @ pose.rotation
             pose = replace(pose, rotation=rotation,
                            translation=pose.translation + np.array([dt[0], 0.0, dt[1]]))
-            if np.abs(pose.translation).max() > MAX_METERS:  # the loader's bound
-                raise ValueError(f"view {f.view_id!r}: translation beyond 1e6 m")
         frames.append(ViewFrame(f.view_id, pose, new_b[BoundaryKind.FLOOR],
                                 new_b.get(BoundaryKind.CEILING)))
     meta = dict(scene.meta)

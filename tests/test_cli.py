@@ -569,6 +569,44 @@ class TestErrorHandling:
         assert steps == []
         assert not any((tmp_path / name).exists() for name in outs)
 
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--iters", "2", "--out-traj", "x", "--out-scene", "x"],
+        ["refine", "--iters", "2", "--out-traj", "x", "--out-scene", "./sub/../x"],
+        ["evaluate", "--out", "x", "--out-csv", "x"],
+        ["metric", "--out-map", "x", "--out", "x"],
+        ["refine", "--iters", "2", "--out-traj", "t.csv", "--out-scene", "."],
+        ["evaluate", "--out", "sub", "--out-csv", "r.csv"],
+        ["pseudo-label", "--out", "x", "--out-csv", "x"],
+    ], ids=["refine-same-file", "refine-same-file-other-spelling", "evaluate-same-file",
+            "metric-same-file", "refine-scene-is-cwd", "evaluate-out-is-directory",
+            "pseudo-label-out-is-csv-directory"])
+    def test_clashing_or_directory_output_is_2_before_any_work(
+            self, scene_path, tmp_path, capsys, monkeypatch, argv):
+        # Each used to run its whole command, then exit 0 with the last
+        # writer's bytes or exit 2 with an IsADirectoryError and partial outputs.
+        from panolayout import cli, sceneio
+        loads, real = [], sceneio.load_scene
+
+        def counting(*args, **kwargs):
+            loads.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sceneio, "load_scene", counting)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([argv[0], "--scene", str(scene_path), *argv[1:]]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert err["type"] in ("ValueError", "IsADirectoryError"), err
+        assert loads == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_scene_may_be_its_own_output(self, scene_path, capsys):
+        from panolayout import cli
+        assert cli.main(["pseudo-label", "--scene", str(scene_path),
+                         "--out", str(scene_path)]) == 0
+        assert load_scene(scene_path).pseudo_labels is not None
+
     def test_keyboard_interrupt_is_130(self, scene_path, tmp_path, capsys,
                                        monkeypatch):
         from panolayout import cli, selftrain
@@ -667,16 +705,3 @@ class TestPartialInputs:
             err = capsys.readouterr().err.strip().splitlines()
             if code:
                 assert message in json.loads(err[-1])["error"]["message"]
-
-
-class TestDeterminism:
-    def test_thread_cap_does_not_change_bytes(self, tmp_path):
-        outs = []
-        for cap in ("1", "8"):
-            out = tmp_path / f"scene_{cap}.json"
-            res = run_cli("synth", "--n-views", "4", "--width", "64",
-                          "--seed", "3", "--out", str(out),
-                          env_extra={"MLC_THREADS": cap})
-            assert res.returncode == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]

@@ -1,7 +1,8 @@
 """Loader fuzz test: mutated scene documents through metric, evaluate, refine.
 
 Each case takes a valid scene document, replaces, deletes or retypes one
-value somewhere in it, and runs the CLI in-process. Every run must end in
+value somewhere in it, and runs the CLI in-process; metric and evaluate run
+a second time with --pixel-rows, which reads every boundary as pixel rows. Every run must end in
 exit 0, 2, 3 or 4, with a JSON error object as the last stderr line when
 it fails; an uncaught exception fails the test with its traceback.
 """
@@ -101,6 +102,8 @@ def _run(argv) -> tuple[int, str]:
 @example((1, ["ground_truth", 2], "delete", None))
 @example((0, ["frames", 0, "floor_height"], "replace", 3e154))
 @example((0, ["image_height"], "replace", 10 ** 9))
+@example((0, ["image_height"], "replace", 10 ** 400))
+@example((1, ["frames", 0, "boundary_floor", 3], "replace", 1.7976931348623157e308))
 def test_mutated_scene_ends_in_documented_exit(mutation):
     base, path, op, value = mutation
     doc = mutate(copy.deepcopy(BASES[base]), path, op, value)
@@ -111,6 +114,9 @@ def test_mutated_scene_ends_in_documented_exit(mutation):
         for argv in (
                 ["metric", "--grid", "32", "32"],
                 ["evaluate", "--raster", "64", "--out", str(tmp / "report.json")],
+                ["metric", "--pixel-rows", "--grid", "32", "32"],
+                ["evaluate", "--pixel-rows", "--raster", "64",
+                 "--out", str(tmp / "report.json")],
                 ["refine", "--iters", "1", "--grid", "32", "32",
                  "--out-traj", str(tmp / "traj.csv"),
                  "--out-scene", str(tmp / "best.json")]):
