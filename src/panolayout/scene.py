@@ -9,6 +9,7 @@ the JSON document itself.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,9 +28,12 @@ def check_image_size(W, H) -> None:
         raise SceneFormatError("image_height must be an int in [1, image_width]")
 
 
+_CONTROL = re.compile("[\x00-\x1f]")
+
+
 def has_control(s: str) -> bool:
     """Whether s holds a control character, which no scene string may."""
-    return any(ord(c) < 0x20 for c in s)
+    return _CONTROL.search(s) is not None
 
 
 @dataclass
@@ -55,9 +59,11 @@ class Scene:
     frame ids are distinct non-empty strings without control characters,
     every frame and ground-truth entry has a floor boundary and each boundary
     is of its kind and image_width columns, every pseudo-label array is
-    image_width long, and meta is a dict whose strings (keys included) hold
-    no control characters and whose floats are finite. It runs in
-    O(frames + labels) plus a walk over meta, reading no boundary array.
+    image_width long with finite lat_bar and sigma and support counts that
+    are whole and in [0, frames], and meta is a dict whose strings (keys
+    included) hold no control characters and whose floats are finite. It
+    reads each pseudo-label array once and no boundary array (their values
+    are SphericalBoundary's to check), plus a walk over meta.
     """
 
     frames: list[ViewFrame]
@@ -91,6 +97,13 @@ class Scene:
             if any(np.shape(a) != (W,) for a in (pl.lat_bar, pl.sigma, pl.support)):
                 raise SceneFormatError(
                     f"pseudo_labels {vid!r}: arrays must have length {W}")
+            if not (np.isfinite(pl.lat_bar).all() and np.isfinite(pl.sigma).all()):
+                raise SceneFormatError(
+                    f"pseudo_labels {vid!r}: lat_bar and sigma must be finite")
+            s = pl.support
+            if not np.all((s >= 0) & (s <= len(self.frames)) & (s == np.floor(s))):
+                raise SceneFormatError(
+                    f"pseudo_labels {vid!r}: support must be whole view counts")
         if not isinstance(self.meta, dict):
             raise SceneFormatError("meta must be a JSON object")
         stack = [self.meta]

@@ -1,19 +1,24 @@
 """Scene JSON, CSV and report serialization.
 
-Scene files are JSON (version "1") with every float written with 17
-significant digits, so save -> load -> save is byte-identical. CSV outputs
-follow RFC 4180 (CRLF line endings, header row).
+Scene files are JSON (version "2"). Each boundary array, in frames and in
+ground_truth, is written packed as {"f8": base64 of its little-endian
+float64 bytes}; every other float (pseudo-labels, poses, meta) is written
+with 17 significant digits. Both forms are exact, so save -> load -> save is
+byte-identical. The loader reads version "1" and "2" alike, and any numeric
+array either as a JSON list or packed. CSV outputs follow RFC 4180 (CRLF
+line endings, header row).
 
 The loader checks only what concerns the document: JSON types, true or false
-inside a numeric array, an id repeated within one list, the 1e-6 rotation
-gate and its repair, the floor_height default, and pseudo-label values.
-Every other rule belongs to Scene and CameraPose, whose errors it reports
-as SceneFormatError naming the record, so any scene that the constructors
-accept saves to a file that loads.
+inside a numeric array, a packed array's base64 and byte length, an id
+repeated within one list, the 1e-6 rotation gate and its repair, and the
+floor_height default. Every other rule belongs to Scene, SphericalBoundary
+and CameraPose, whose errors it reports as SceneFormatError naming the
+record, so any scene that the constructors accept saves to a file that loads.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import dataclasses
 import json
@@ -31,7 +36,9 @@ from .scene import Scene, ViewFrame, check_image_size, has_control
 
 logger = logging.getLogger(__name__)
 
-SCENE_VERSION = "1"
+SCENE_VERSION = "2"
+# Version "1" differs only in writing boundaries as text, which "2" reads too.
+_READ_VERSIONS = ("1", SCENE_VERSION)
 
 # Rotations are accepted up to this orthonormality defect on load; those
 # that CameraPose would reject are projected back onto SO(3).
@@ -96,8 +103,10 @@ def dumps_document(doc) -> str:
     return "".join(out) + "\n"
 
 
-def _boundary_list(b: SphericalBoundary | None):
-    return None if b is None else b.lat.tolist()
+def _packed(b: SphericalBoundary | None):
+    if b is None:
+        return None
+    return {"f8": base64.b64encode(b.lat.astype("<f8").tobytes()).decode("ascii")}
 
 
 def scene_to_document(scene: Scene) -> dict:
@@ -115,14 +124,14 @@ def scene_to_document(scene: Scene) -> dict:
                 "translation": f.pose.translation.tolist(),
             },
             "floor_height": float(f.pose.floor_height),
-            "boundary_floor": _boundary_list(f.boundary_floor),
-            "boundary_ceiling": _boundary_list(f.boundary_ceiling),
+            "boundary_floor": _packed(f.boundary_floor),
+            "boundary_ceiling": _packed(f.boundary_ceiling),
         })
     if scene.ground_truth is not None:
         doc["ground_truth"] = [{
             "id": vid,
-            "boundary_floor": _boundary_list(gt.get(BoundaryKind.FLOOR)),
-            "boundary_ceiling": _boundary_list(gt.get(BoundaryKind.CEILING)),
+            "boundary_floor": _packed(gt.get(BoundaryKind.FLOOR)),
+            "boundary_ceiling": _packed(gt.get(BoundaryKind.CEILING)),
         } for vid, gt in scene.ground_truth.items()]
     if scene.pseudo_labels is not None:
         doc["pseudo_labels"] = [{
@@ -155,6 +164,19 @@ def _require(cond: bool, msg: str):
 
 
 def _array(values, ctx: str, what: str) -> np.ndarray:
+    """A numeric JSON list, or {"f8": base64 of little-endian float64}, as an
+    owned float array."""
+    if isinstance(values, dict):
+        packed = values.get("f8")
+        _require(values.keys() == {"f8"} and isinstance(packed, str),
+                 f"{ctx}: {what} must be a list or {{\"f8\": base64 string}}")
+        try:
+            raw = base64.b64decode(packed, validate=True)
+        except ValueError as e:   # binascii.Error, or a non-ASCII character
+            raise SceneFormatError(f"{ctx}: {what}: invalid base64: {e}") from e
+        _require(len(raw) % 8 == 0,
+                 f"{ctx}: {what}: packed length {len(raw)} is not a multiple of 8")
+        return np.frombuffer(raw, "<f8").astype(float)
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:  # Overflow: int > float max
@@ -227,7 +249,7 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     """The Scene a parsed scene document describes; SceneFormatError if it
     breaks a rule of the document or of Scene and CameraPose."""
     _require(isinstance(doc, dict), "scene document must be a JSON object")
-    _require(doc.get("version") == SCENE_VERSION,
+    _require(doc.get("version") in _READ_VERSIONS,
              f"unrecognized scene version {doc.get('version')!r}")
     W, H = doc.get("image_width"), doc.get("image_height")
     check_image_size(W, H)   # before any pixel row is divided by H
@@ -259,17 +281,13 @@ def document_to_scene(doc: dict, pixel_rows: bool = False) -> Scene:
     if doc.get("pseudo_labels") is not None:
         pseudo_labels = {}
         for vid, ctx, rp in _entries(doc, "pseudo_labels"):
-            lat_bar, sigma, support = (_array(rp.get(k), ctx, k)
-                                       for k in ("lat_bar", "sigma", "support"))
-            _require(np.all(np.isfinite(lat_bar)) and np.all(np.isfinite(sigma)),
-                     f"{ctx}: lat_bar and sigma must be finite")
-            _require(np.all((support >= 0) & (support <= len(frames))
-                            & (support == np.floor(support))),
-                     f"{ctx}: support must be whole view counts")
-            pseudo_labels[vid] = PseudoLabel(lat_bar, sigma,
-                                             support.astype(np.int64))
+            pseudo_labels[vid] = PseudoLabel(*(_array(rp.get(k), ctx, k)
+                                               for k in ("lat_bar", "sigma", "support")))
 
-    return Scene(frames, W, H, ground_truth, pseudo_labels, doc.get("meta") or {})
+    scene = Scene(frames, W, H, ground_truth, pseudo_labels, doc.get("meta") or {})
+    for pl in (pseudo_labels or {}).values():   # Scene checked them whole
+        pl.support = pl.support.astype(np.int64)
+    return scene
 
 
 def load_scene(path, pixel_rows: bool = False) -> Scene:

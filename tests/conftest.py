@@ -4,6 +4,8 @@ Oracle code here deliberately re-derives quantities with plain math rather
 than calling the library paths under test.
 """
 
+import base64
+import copy
 import math
 import os
 from pathlib import Path
@@ -69,6 +71,19 @@ def dist_to_polygon_boundary(points_xz: np.ndarray, poly: np.ndarray) -> np.ndar
 def float_neighbours(x: float) -> list[float]:
     """x and the doubles just below and above it."""
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def text_document(doc: dict) -> dict:
+    """A copy of a scene document as version "1": each packed boundary,
+    {"f8": base64}, written out as a JSON list of its floats."""
+    doc = copy.deepcopy(doc)
+    doc["version"] = "1"
+    for record in doc["frames"] + doc.get("ground_truth", []):
+        for key in ("boundary_floor", "boundary_ceiling"):
+            if record.get(key) is not None:
+                record[key] = np.frombuffer(
+                    base64.b64decode(record[key]["f8"]), "<f8").tolist()
+    return doc
 
 
 def rotation_about_y(yaw: float) -> np.ndarray:

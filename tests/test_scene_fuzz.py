@@ -5,6 +5,11 @@ value somewhere in it, and runs the CLI in-process; metric and evaluate run
 a second time with --pixel-rows, which reads every boundary as pixel rows. Every run must end in
 exit 0, 2, 3 or 4, with a JSON error object as the last stderr line when
 it fails; an uncaught exception fails the test with its traceback.
+
+The documents are the writer's, whose boundaries are packed ({"f8": base64
+of float64}), and the same documents with every boundary as a JSON list. A
+second test truncates a packed boundary, changes one of its characters, or
+makes its "f8" value a number.
 """
 
 import contextlib
@@ -24,6 +29,8 @@ from panolayout.sceneio import scene_to_document
 from panolayout.synth import NoiseSpec, generate_scene, lshape_room, perturb, \
     square_room
 
+from conftest import text_document
+
 
 def _base_documents():
     plain = generate_scene(square_room(4.0), 3, 16, seed=3)
@@ -32,9 +39,11 @@ def _base_documents():
     labeled.pseudo_labels = {s.target_view: fuse(s)
                              for s in build_stacks(
                                  labeled, labeled.world_polylines((BoundaryKind.FLOOR,)))}
-    return [scene_to_document(plain), scene_to_document(labeled)]
+    packed = [scene_to_document(plain), scene_to_document(labeled)]
+    return packed + [text_document(doc) for doc in packed]
 
 
+# Bases 0 and 1 are packed, 2 and 3 the same documents as text.
 BASES = _base_documents()
 
 # The loader bounds image_height by image_width, and evaluate builds no
@@ -104,9 +113,45 @@ def _run(argv) -> tuple[int, str]:
 @example((0, ["image_height"], "replace", 10 ** 9))
 @example((0, ["image_height"], "replace", 10 ** 400))
 @example((1, ["frames", 0, "boundary_floor", 3], "replace", 1.7976931348623157e308))
+@example((3, ["frames", 0, "boundary_floor", 3], "replace", 1.7976931348623157e308))
 def test_mutated_scene_ends_in_documented_exit(mutation):
     base, path, op, value = mutation
-    doc = mutate(copy.deepcopy(BASES[base]), path, op, value)
+    _check_exits(mutate(copy.deepcopy(BASES[base]), path, op, value))
+
+
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+_packed_mutations = st.tuples(
+    st.integers(0, 1), st.sampled_from(["frames", "ground_truth"]),
+    st.integers(0, 63), st.sampled_from(["boundary_floor", "boundary_ceiling"]),
+    st.sampled_from(["truncate", "flip", "f8-int"]), st.integers(0, 10_000),
+    st.sampled_from(_BASE64 + "*-_ é\n"))
+
+
+def mutate_packed(doc, records, index, key, op, position, char):
+    """Truncate a packed boundary at position, set its character there to
+    char, or replace it with {"f8": 1}."""
+    record = doc[records][index % len(doc[records])]
+    packed = record[key]["f8"]
+    position %= len(packed)
+    record[key] = {"f8": {"truncate": packed[:position],
+                          "flip": packed[:position] + char + packed[position + 1:],
+                          "f8-int": 1}[op]}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_mutations)
+@example((0, "frames", 1, "boundary_floor", "truncate", 5, "A"))
+@example((1, "ground_truth", 2, "boundary_ceiling", "flip", 7, "/"))
+@example((0, "frames", 0, "boundary_ceiling", "f8-int", 0, "A"))
+def test_mutated_packed_array_ends_in_documented_exit(mutation):
+    base, *where = mutation
+    _check_exits(mutate_packed(copy.deepcopy(BASES[base]), *where))
+
+
+def _check_exits(doc) -> None:
+    """Each command on doc ends in exit 0, 2, 3 or 4, failing with a JSON
+    error as its last stderr line."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         scene = tmp / "scene.json"

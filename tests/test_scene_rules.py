@@ -47,6 +47,21 @@ class TestConstructorsRaise:
         with pytest.raises(SceneFormatError):
             build()
 
+    @pytest.mark.parametrize("lat_bar, sigma, support, message", [
+        (-0.5, 1e-3, 7, "support must be whole view counts"),
+        (-0.5, 1e-3, -1, "support must be whole view counts"),
+        (-0.5, 1e-3, 1.5, "support must be whole view counts"),
+        (-0.5, 1e-3, math.nan, "support must be whole view counts"),
+        (math.nan, 1e-3, 1, "lat_bar and sigma must be finite"),
+        (-0.5, math.inf, 1, "lat_bar and sigma must be finite"),
+    ], ids=["support-above-frames", "support-negative", "support-fractional",
+            "support-nan", "lat-bar-nan", "sigma-inf"])
+    def test_pseudo_label_values(self, lat_bar, sigma, support, message):
+        # These used to build and save, and then fail to load.
+        label = PseudoLabel(np.full(W, lat_bar), np.full(W, sigma), np.full(W, support))
+        with pytest.raises(SceneFormatError, match=f"pseudo_labels 'v0': {message}"):
+            Scene([_frame("v0"), _frame("v1")], W, W // 2, pseudo_labels={"v0": label})
+
     @pytest.mark.parametrize("kwargs", [{"translation": (2e6, 0.0, 0.0)},
                                         {"floor_height": 2e6}],
                              ids=["translation-2e6", "floor-height-2e6"])
@@ -92,7 +107,8 @@ class TestRotationRule:
 
 
 _RULES = ("width", "height", "ids", "rotation", "translation", "floor_height",
-          "kinds", "boundary_width", "ground_truth", "pseudo_labels", "label_width")
+          "kinds", "boundary_width", "ground_truth", "pseudo_labels", "label_width",
+          "label_support")
 _ids = st.sampled_from(["a", "b", "c", "", "e\x01"])
 _meta_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
@@ -134,6 +150,7 @@ def _scenes(draw):
     names = [*ids, *(["zz"] if "pseudo_labels" in broken else [])]
     labels = draw(st.none() | st.sets(st.sampled_from(names)))
     label_width = pick("label_width", columns, 9, 17)
+    label_support = pick("label_support", len(frames), len(frames) + 1, -1, 0.5)
     meta = draw(_meta)
 
     def boundary(kind, n):
@@ -151,7 +168,7 @@ def _scenes(draw):
             for vid in sorted(gt)}
         fused = None if labels is None else {
             vid: PseudoLabel(np.full(label_width, -0.5), np.full(label_width, 1e-3),
-                             np.full(label_width, len(frames), dtype=np.int64))
+                             np.full(label_width, label_support))
             for vid in sorted(labels)}
         return Scene(views, width, height, truth, fused, meta)
 

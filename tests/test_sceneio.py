@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -12,6 +13,7 @@ from panolayout.errors import SceneFormatError
 from panolayout.geometry import BoundaryKind, latitude_to_row
 from panolayout.pseudolabel import PseudoLabel
 from panolayout.reprojection import BoundaryStack
+from panolayout.scene import has_control
 from panolayout.sceneio import document_to_scene, dumps_document, format_float, \
     load_scene, save_scene, scene_to_document, write_density_csv, \
     write_pseudolabel_csv, write_report_csv, write_report_json, write_stack_csv, \
@@ -19,7 +21,7 @@ from panolayout.sceneio import document_to_scene, dumps_document, format_float, 
 from panolayout.selftrain import IterationRecord
 from panolayout.synth import generate_scene, square_room
 
-from conftest import float_neighbours
+from conftest import float_neighbours, text_document
 
 
 @pytest.fixture
@@ -179,8 +181,9 @@ class TestWriterAgainstReference:
             dumps_document(doc).encode("ascii")
 
     def test_save_scene_joins_no_document_string(self, tmp_path):
-        # 20 views x 1024 columns: 7.28 MB traced when the pieces were joined
-        # into one string before the write, 4.13 MB written piece by piece.
+        # 20 views x 1024 columns, boundaries packed: 3.41 MB traced when the
+        # pieces were joined into one string before the write, 1.73 MB
+        # written piece by piece.
         import tracemalloc
         from panolayout.synth import NoiseSpec, ngon_room, perturb
         scene = perturb(generate_scene(ngon_room(), 20, 1024, seed=0),
@@ -192,7 +195,7 @@ class TestWriterAgainstReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.5 * 2 ** 20
+        assert peak < 2.5 * 2 ** 20
         assert path.read_bytes() == \
             dumps_document(scene_to_document(scene)).encode("ascii")
 
@@ -215,7 +218,7 @@ class TestValidation:
 
     def test_unknown_version(self, scene):
         doc = self.doc(scene)
-        doc["version"] = "2"
+        doc["version"] = "99"
         with pytest.raises(SceneFormatError):
             document_to_scene(doc)
 
@@ -364,8 +367,8 @@ class TestValidation:
             "translation", [False, False, True])),
         ("rotation", lambda d: d["frames"][0]["pose"].__setitem__(
             "rotation", [True, False, False, False, True, False, False, False, True])),
-        ("boundary_floor", lambda d: d["frames"][1]["boundary_floor"].__setitem__(
-            5, False)),
+        ("boundary_floor", lambda d: d["frames"][1].__setitem__(
+            "boundary_floor", [-0.5] * 5 + [False] + [-0.5] * 58)),
         ("boundary_ceiling", lambda d: d["ground_truth"][2].__setitem__(
             "boundary_ceiling", [True] * 64)),
         ("lat_bar", lambda d: d["pseudo_labels"][0]["lat_bar"].__setitem__(0, True)),
@@ -381,6 +384,149 @@ class TestValidation:
         mutate(doc)
         message = self._metric_error(doc, tmp_path, capsys)
         assert message.endswith(f": {field} must be numeric, not true or false")
+
+
+def _pack(values) -> dict:
+    return {"f8": base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()}
+
+
+def _boundary_bytes(scene) -> list[bytes]:
+    out = [b.lat.tobytes() for f in scene.frames
+           for b in (f.boundary_floor, f.boundary_ceiling) if b is not None]
+    for gt in (scene.ground_truth or {}).values():
+        out += [gt[k].lat.tobytes() for k in BoundaryKind if k in gt]
+    return out
+
+
+class TestPackedArrays:
+    def test_writer_packs_boundaries_and_nothing_else(self, scene):
+        scene.pseudo_labels = {scene.view_ids[0]: PseudoLabel(
+            np.full(64, -0.4), np.full(64, 1e-3), np.full(64, 3))}
+        doc = scene_to_document(scene)
+        assert doc["version"] == "2"
+        for record in doc["frames"] + doc["ground_truth"]:
+            for key in ("boundary_floor", "boundary_ceiling"):
+                assert list(record[key]) == ["f8"]
+                assert len(base64.b64decode(record[key]["f8"])) == 64 * 8
+        label = doc["pseudo_labels"][0]
+        assert all(isinstance(label[k], list) for k in ("lat_bar", "sigma", "support"))
+        pose = doc["frames"][0]["pose"]
+        assert isinstance(pose["rotation"], list)
+        assert isinstance(pose["translation"], list)
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        from panolayout.pseudolabel import fuse
+        from panolayout.reprojection import build_stacks
+        from panolayout.synth import NoiseSpec, lshape_room, perturb
+        scene = perturb(generate_scene(lshape_room(), 4, 128, seed=0),
+                        NoiseSpec(boundary_std=0.03, pose_trans_std=0.05,
+                                  pose_rot_std=0.01, seed=0))
+        scene.pseudo_labels = {s.target_view: fuse(s)
+                               for s in build_stacks(
+                                   scene, scene.world_polylines((BoundaryKind.FLOOR,)))}
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_scene(scene, p1)
+        loaded = load_scene(p1)
+        save_scene(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert _boundary_bytes(loaded) == _boundary_bytes(scene)
+        for vid, pl in scene.pseudo_labels.items():
+            got = loaded.pseudo_labels[vid]
+            assert got.lat_bar.tobytes() == pl.lat_bar.tobytes()
+            assert got.sigma.tobytes() == pl.sigma.tobytes()
+            assert np.array_equal(got.support, pl.support)
+            assert got.support.dtype == np.int64
+
+    def test_version_1_text_loads_as_its_packed_save(self, scene, tmp_path):
+        text, packed = tmp_path / "v1.json", tmp_path / "v2.json"
+        text.write_text(dumps_document(text_document(scene_to_document(scene))))
+        assert b'"version":"1"' in text.read_bytes()
+        assert b'"f8"' not in text.read_bytes()
+        from_text = load_scene(text)
+        save_scene(from_text, packed)
+        from_packed = load_scene(packed)
+        assert _boundary_bytes(from_text) == _boundary_bytes(from_packed) \
+            == _boundary_bytes(scene)
+        # The packed save of the text file is the packed save of the scene.
+        save_scene(scene, tmp_path / "direct.json")
+        assert packed.read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+    def test_loaded_array_is_owned_and_writable(self, scene):
+        lat = document_to_scene(scene_to_document(scene)).frames[0].boundary_floor.lat
+        assert lat.flags.owndata and lat.flags.writeable
+        assert lat.dtype == np.float64
+
+    def test_pixel_rows_same_from_packed_and_text(self, scene, tmp_path):
+        doc = scene_to_document(scene)
+        for record in doc["frames"] + doc["ground_truth"]:
+            for key in ("boundary_floor", "boundary_ceiling"):
+                lat = np.frombuffer(base64.b64decode(record[key]["f8"]), "<f8")
+                record[key] = _pack(latitude_to_row(lat, scene.image_height))
+        packed, text = tmp_path / "packed.json", tmp_path / "text.json"
+        packed.write_text(dumps_document(doc))
+        text.write_text(dumps_document(text_document(doc)))
+        assert _boundary_bytes(load_scene(packed, pixel_rows=True)) == \
+            _boundary_bytes(load_scene(text, pixel_rows=True))
+        for path in (packed, text):
+            assert cli.main(["evaluate", "--scene", str(path), "--pixel-rows",
+                             "--raster", "64", "--out", f"{path}.report"]) == 0
+        assert (tmp_path / "packed.json.report").read_bytes() == \
+            (tmp_path / "text.json.report").read_bytes()
+
+    @pytest.mark.parametrize("record", ["frames", "ground_truth"])
+    @pytest.mark.parametrize("bad", [
+        lambda f8, lat: {"f8": f8[:10] + "*" + f8[11:]},
+        lambda f8, lat: {"f8": f8[:10] + "é" + f8[11:]},
+        lambda f8, lat: {"f8": f8[:-1]},
+        lambda f8, lat: {"f8": f8 + "A==="},
+        lambda f8, lat: {"f8": base64.b64encode(bytes(8 * 64 - 1)).decode()},
+        lambda f8, lat: _pack(lat[:-1]),
+        lambda f8, lat: _pack(np.append(lat, lat[0])),
+        lambda f8, lat: {"f8": f8, "n": 64},
+        lambda f8, lat: {"f4": f8},
+        lambda f8, lat: {},
+        lambda f8, lat: {"f8": 1},
+        lambda f8, lat: {"f8": [f8]},
+        lambda f8, lat: {"f8": None},
+        lambda f8, lat: _pack(np.where(np.arange(64) == 3, np.nan, lat)),
+        lambda f8, lat: _pack(np.where(np.arange(64) == 3, np.inf, lat)),
+        lambda f8, lat: _pack(-lat),
+    ], ids=["non-alphabet", "non-ascii", "truncated", "trailing-after-padding",
+            "bytes-not-multiple-of-8", "width-short", "width-long", "extra-key",
+            "unknown-key", "empty-object", "f8-int", "f8-list", "f8-null", "nan",
+            "inf", "wrong-side"])
+    def test_malformed_packed_array_exits_3(self, scene, tmp_path, capsys,
+                                            record, bad):
+        doc = scene_to_document(scene)
+        target = doc[record][1]
+        lat = np.frombuffer(base64.b64decode(target["boundary_floor"]["f8"]), "<f8")
+        target["boundary_floor"] = bad(target["boundary_floor"]["f8"], lat)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError):
+            load_scene(path)
+        assert cli.main(["metric", "--scene", str(path)]) == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"]["type"] == "SceneFormatError"
+        ctx = {"frames": "frame", "ground_truth": "ground_truth"}[record]
+        assert err["error"]["message"].startswith(f"{ctx} 'view001': ")
+
+
+class TestHasControl:
+    @staticmethod
+    def reference(s: str) -> bool:
+        """The former per-character form."""
+        return any(ord(c) < 0x20 for c in s)
+
+    def test_every_ascii_code_point(self):
+        for i in range(0x80):
+            for s in (chr(i), f"ab{chr(i)}", f"{chr(i)}z", f"x{chr(i)}y"):
+                assert has_control(s) == self.reference(s), hex(i)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.text(st.characters(max_codepoint=0x7f))))
+    def test_matches_reference(self, s):
+        assert has_control(s) == self.reference(s)
 
 
 class TestCsvWriters:
