@@ -8,9 +8,10 @@ the JSON document itself.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +61,11 @@ class Scene:
     every frame and ground-truth entry has a floor boundary and each boundary
     is of its kind and image_width columns, every pseudo-label array is
     image_width long with finite lat_bar and sigma and support counts that
-    are whole and in [0, frames], and meta is a dict whose strings (keys
-    included) hold no control characters and whose floats are finite. It
-    reads each pseudo-label array once and no boundary array (their values
-    are SphericalBoundary's to check), plus a walk over meta.
+    are whole and in [0, frames], and meta is a dict with str keys whose
+    values are dicts, lists, tuples, strs, bools, None, finite floats or ints
+    that str() can write, no string (keys included) holding a control
+    character. It reads each pseudo-label array once and no boundary array
+    (their values are SphericalBoundary's to check), plus a walk over meta.
     """
 
     frames: list[ViewFrame]
@@ -110,14 +112,23 @@ class Scene:
         while stack:
             v = stack.pop()
             if isinstance(v, dict):
+                if not all(isinstance(k, str) for k in v):
+                    raise SceneFormatError("meta: keys must be strings")
                 stack += [*v.keys(), *v.values()]
             elif isinstance(v, (list, tuple)):
                 stack += v
+            elif not (v is None or isinstance(v, (str, float, int))):   # bool is an int
+                raise SceneFormatError(f"meta: type {type(v).__name__} has no JSON form")
             # NaN, Infinity and 1e999 load as floats that no scene file can hold.
             elif (isinstance(v, str) and has_control(v)
                   or isinstance(v, float) and not math.isfinite(v)):
                 raise SceneFormatError(f"meta: {v!r}: control characters are not "
                                        f"allowed in strings, numbers must be finite")
+            elif isinstance(v, int):
+                try:
+                    str(v)
+                except ValueError:   # beyond the interpreter's int digit limit
+                    raise SceneFormatError("meta: an int too long to write") from None
 
     def _check_boundaries(self, what: str, boundary) -> None:
         """boundary(kind) for each kind: the floor present, each one present
@@ -162,8 +173,12 @@ class Scene:
         if frame.boundary_ceiling is None:
             raise SceneFormatError(f"view {frame.view_id!r} has no ceiling boundary")
         h_c = ceiling_height(frame.boundary_floor, frame.boundary_ceiling,
-                             frame.pose.floor_height)
-        return replace(frame.pose, ceil_height=h_c)
+                             frame.pose.floor_height)   # positive and finite
+        # A copy, not dataclasses.replace: the pose's rules already hold, and
+        # re-checking its rotation on every lift costs more than the copy.
+        pose = copy.copy(frame.pose)
+        pose.ceil_height = h_c
+        return pose
 
     def world_polylines(self, kinds: tuple[BoundaryKind, ...] = (
                             BoundaryKind.FLOOR, BoundaryKind.CEILING),

@@ -8,6 +8,12 @@ byte-identical. The loader reads version "1" and "2" alike, and any numeric
 array either as a JSON list or packed. CSV outputs follow RFC 4180 (CRLF
 line endings, header row).
 
+The writer emits the payloads it packed itself verbatim, without the
+control-character check and the JSON escaping that every other string gets:
+base64 text holds only A-Z, a-z, 0-9, "+", "/" and "=", which JSON does not
+escape and the check does not reject, so the bytes are the same. A
+hand-built {"f8": ...} string is checked and escaped like any other.
+
 The loader checks only what concerns the document: JSON types, true or false
 inside a numeric array, a packed array's base64 and byte length, an id
 repeated within one list, the 1e-6 rotation gate and its repair, and the
@@ -87,6 +93,8 @@ def _dump(obj, out: list[str]) -> None:
                     out.append(",")
                 _dump(v, out)
             out.append("]")
+    elif type(obj) is _Base64:   # base64 text needs no check and no escape
+        out.append('"' + obj + '"')
     else:
         if isinstance(obj, str) and has_control(obj):
             raise ValueError("control characters are not allowed in strings")
@@ -103,10 +111,17 @@ def dumps_document(doc) -> str:
     return "".join(out) + "\n"
 
 
+class _Base64(str):
+    """A payload that _packed made; _dump writes it verbatim."""
+
+    __slots__ = ()
+
+
 def _packed(b: SphericalBoundary | None):
     if b is None:
         return None
-    return {"f8": base64.b64encode(b.lat.astype("<f8").tobytes()).decode("ascii")}
+    raw = b.lat.astype("<f8").tobytes()
+    return {"f8": _Base64(base64.b64encode(raw).decode("ascii"))}
 
 
 def scene_to_document(scene: Scene) -> dict:

@@ -5,6 +5,7 @@ and saves again byte for byte: the loader adds only rules about the JSON
 document itself.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from panolayout import geometry
 from panolayout.errors import SceneFormatError
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
-    is_rotation
+    ceiling_height, is_rotation
 from panolayout.pseudolabel import PseudoLabel
 from panolayout.scene import Scene, ViewFrame
 from panolayout.sceneio import document_to_scene, load_scene, save_scene, \
@@ -46,6 +48,20 @@ class TestConstructorsRaise:
     def test_scene_rule(self, build):
         with pytest.raises(SceneFormatError):
             build()
+
+    @pytest.mark.parametrize("meta, message", [
+        ({1: "x"}, "keys must be strings"),
+        ({"x": [{"y": {2: 3}}]}, "keys must be strings"),
+        ({"x": {1, 2}}, "type set has no JSON form"),
+        ({"x": b"x"}, "type bytes has no JSON form"),
+        ({"x": (1, object())}, "type object has no JSON form"),
+        ({"x": 10 ** 5000}, "an int too long to write"),
+    ], ids=["int-key", "nested-int-key", "set", "bytes", "object", "int-5001-digits"])
+    def test_meta_value_types(self, meta, message):
+        # These used to build, and then fail to save with a TypeError or a
+        # ValueError.
+        with pytest.raises(SceneFormatError, match=f"meta: {message}"):
+            Scene([_frame("v0"), _frame("v1")], W, W // 2, meta=meta)
 
     @pytest.mark.parametrize("lat_bar, sigma, support, message", [
         (-0.5, 1e-3, 7, "support must be whole view counts"),
@@ -110,12 +126,17 @@ _RULES = ("width", "height", "ids", "rotation", "translation", "floor_height",
           "kinds", "boundary_width", "ground_truth", "pseudo_labels", "label_width",
           "label_support")
 _ids = st.sampled_from(["a", "b", "c", "", "e\x01"])
+# Keys and values that no scene file can hold: an int key, values of types
+# JSON lacks, and ints beyond the interpreter's 4300-digit limit.
+_meta_keys = _ids | st.just(1)
 _meta_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(),
-    st.text(st.sampled_from("x\x1f\u00e9\ud800"), max_size=3))
-_meta = st.dictionaries(_ids, st.recursive(
+    st.text(st.sampled_from("x\x1f\u00e9\ud800"), max_size=3),
+    st.sampled_from([b"x", frozenset()]), st.builds(object), st.sets(st.integers()),
+    st.integers(4300, 4400).map(lambda n: 10 ** n))
+_meta = st.dictionaries(_meta_keys, st.recursive(
     _meta_leaves, lambda c: st.one_of(st.lists(c, max_size=3),
-                                      st.dictionaries(_ids, c, max_size=3)),
+                                      st.dictionaries(_meta_keys, c, max_size=3)),
     max_leaves=8), max_size=3)
 
 
@@ -186,3 +207,30 @@ def test_built_scene_raises_or_round_trips(tmp_path_factory, build):
     save_scene(scene, tmp / "a.json")
     save_scene(load_scene(tmp / "a.json"), tmp / "b.json")
     assert (tmp / "a.json").read_bytes() == (tmp / "b.json").read_bytes()
+
+
+class TestResolvedPose:
+    def test_ceiling_lift_checks_no_rotation(self, monkeypatch):
+        # A lift used to rebuild each ceiling pose with dataclasses.replace,
+        # which ran CameraPose's rotation check once per frame.
+        scene = generate_scene(square_room(4.0), 3, W, seed=3)
+        calls = []
+        real = geometry.is_rotation
+        monkeypatch.setattr(geometry, "is_rotation",
+                            lambda R: calls.append(R) or real(R))
+        assert len(scene.world_polylines()) == 6
+        assert calls == []
+
+    def test_same_pose_as_replace(self):
+        scene = generate_scene(square_room(4.0), 3, W, seed=3)
+        for f in scene.frames:
+            before = f.pose.ceil_height
+            pose = scene.resolved_pose(f, BoundaryKind.CEILING)
+            h_c = ceiling_height(f.boundary_floor, f.boundary_ceiling,
+                                 f.pose.floor_height)
+            expected = dataclasses.replace(f.pose, ceil_height=h_c)
+            assert pose is not f.pose and f.pose.ceil_height == before
+            for field in dataclasses.fields(CameraPose):
+                assert np.array_equal(getattr(pose, field.name),
+                                      getattr(expected, field.name))
+            assert scene.resolved_pose(f, BoundaryKind.FLOOR) is f.pose

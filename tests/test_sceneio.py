@@ -160,17 +160,25 @@ class TestWriterAgainstReference:
     @given(_documents)
     @example([0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e17, 0.1])
     @example({"a": [1, 2.5, True, None, "x"], "b": [], "c": {}, "d": (1.0, -0.0)})
+    @example({"f8": 'a"b\\c'})   # a hand-built payload is escaped
     def test_same_bytes_as_reference(self, doc):
         assert dumps_document(doc) == reference_dumps_document(doc)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_scene_documents(self, seed, tmp_path):
+    @pytest.mark.parametrize("seed, width, edit", [
+        (0, 128, None), (1, 128, None), (2, 128, "no-ground-truth"),
+        (3, 128, "frame-without-ceiling"), (4, 8, None)],
+        ids=["0", "1", "no-ground-truth", "frame-without-ceiling", "width8"])
+    def test_scene_documents(self, seed, width, edit, tmp_path):
         from panolayout.pseudolabel import fuse
         from panolayout.reprojection import build_stacks
         from panolayout.synth import NoiseSpec, lshape_room, perturb
-        scene = perturb(generate_scene(lshape_room(), 4, 128, seed=seed),
+        scene = perturb(generate_scene(lshape_room(), 4, width, seed=seed),
                         NoiseSpec(boundary_std=0.03, pose_trans_std=0.05,
                                   pose_rot_std=0.01, seed=seed))
+        if edit == "no-ground-truth":
+            scene.ground_truth = None
+        elif edit == "frame-without-ceiling":
+            scene.frames[1].boundary_ceiling = None
         scene.pseudo_labels = {s.target_view: fuse(s)
                                for s in build_stacks(
                                    scene, scene.world_polylines((BoundaryKind.FLOOR,)))}
@@ -198,6 +206,23 @@ class TestWriterAgainstReference:
         assert peak < 2.5 * 2 ** 20
         assert path.read_bytes() == \
             dumps_document(scene_to_document(scene)).encode("ascii")
+
+    def test_save_scene_checks_no_packed_payload(self, tmp_path, monkeypatch):
+        # The writer's own base64 holds no control character and nothing JSON
+        # escapes, so it skips has_control; it used to scan each payload.
+        from panolayout import sceneio
+        from panolayout.synth import NoiseSpec, perturb
+        scene = perturb(generate_scene(square_room(4.0), 3, 1024, seed=0),
+                        NoiseSpec(boundary_std=0.03, seed=1))
+        payloads = {r[k]["f8"] for key in ("frames", "ground_truth")
+                    for r in scene_to_document(scene)[key]
+                    for k in ("boundary_floor", "boundary_ceiling")}
+        seen = []
+        monkeypatch.setattr(sceneio, "has_control",
+                            lambda s: seen.append(s) or has_control(s))
+        save_scene(scene, tmp_path / "scene.json")
+        assert len(payloads) == 12 and "view000" in seen
+        assert not payloads.intersection(seen)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
@@ -330,6 +355,8 @@ class TestValidation:
     def test_control_characters_rejected_on_save(self):
         with pytest.raises(ValueError):
             dumps_document({"id": "a\x00b"})
+        with pytest.raises(ValueError):   # a hand-built payload is checked
+            dumps_document({"f8": "a\x01b"})
 
     def test_rejected_scene_leaves_no_file(self, scene, tmp_path):
         scene.frames[0].view_id = "a\x01b"
