@@ -6,7 +6,10 @@ boundaries can produce. No mask is built: one pass over both polygons'
 edges, tagged by polygon, turns every (edge, row) crossing into a cell key,
 and footprint_ious sums the lengths of the runs between consecutive sorted
 keys where each fill, and both, are odd. Its work grows with the crossing
-count, not with raster^2. evaluate_scene and refine's IoU tracking score
+count, not with raster^2. Row indices, here and in the depth rows, come in
+closed form from the evenly spaced rows and are checked against them
+(_grid_count), not binary-searched. A crossing right of every cell center
+keeps cmin = raster, so each polygon's rows close even with no key added. evaluate_scene and refine's IoU tracking score
 each frame's floor lift with frame_ious against footprint_truth.
 Depth metrics follow the fixed-camera-height protocol: both prediction and
 ground truth are scaled to a 1.6 m camera before comparison. A depth map is
@@ -29,7 +32,8 @@ import numpy as np
 
 from .errors import GeometryError, MetricError
 from .geometry import BoundaryKind, CameraPose, DEFAULT_CAMERA_HEIGHT, \
-    SphericalBoundary, boundary_to_world, ceiling_height, row_to_latitude
+    SphericalBoundary, boundary_to_world, ceiling_height, latitude_to_row, \
+    row_to_latitude
 from .scene import Scene
 
 RASTER_DEFAULT = 1024
@@ -56,13 +60,34 @@ def floor_polygon(b: SphericalBoundary, pose: CameraPose) -> np.ndarray:
     return pts[:, [0, 2]]
 
 
+def _grid_count(grid, values, guess, side: str):
+    """np.searchsorted(grid, values, side) on an ascending grid, where guess
+    is each value's fractional position on it.
+
+    The rounded guess is kept where the grid brackets its value;
+    np.searchsorted places the rest (a guess off by rounding, a non-finite
+    value).
+    """
+    k = np.ceil(guess) if side == "left" else np.floor(guess) + 1
+    k = np.fmin(np.fmax(k, 0.0), grid.size).astype(np.intp)  # NaN to 0
+    lo = np.concatenate(([-np.inf], grid))[k]                 # grid[k - 1]
+    hi = np.concatenate((grid, [np.inf]))[k]                  # grid[k]
+    ok = (lo < values) & (values <= hi) if side == "left" else \
+        (lo <= values) & (values < hi)
+    if not ok.all():
+        off = ~ok
+        k[off] = np.searchsorted(grid, values[off], side)
+    return k
+
+
 def _crossing_cells(polys, bounds, raster: int):
     """(row, cmin, tag) of every even-odd crossing of the polygons, sampled
     at cell centers, in one pass over all their edges.
 
     tag is the crossing polygon's index in polys, and each polygon closes
     on itself. A crossing flips that polygon's fill of cells cmin..raster-1
-    in its row.
+    in its row; one right of every cell center has cmin = raster and flips
+    none. Row indices come in closed form from the evenly spaced rows.
     """
     xmin, xmax, ymin, ymax = bounds
     cw = (xmax - xmin) / raster
@@ -74,46 +99,54 @@ def _crossing_cells(polys, bounds, raster: int):
     ends = np.cumsum(sizes)
     nxt[ends - 1] = ends - sizes              # last vertex back to the first
     x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = x1[nxt], y1[nxt]
     # Half-open row span per edge (none if horizontal) avoids double counting
     # at shared vertices; an edge's k-th crossing lies on row start + k.
-    start = np.searchsorted(ys, np.minimum(y1, y2), side="left")
-    count = np.searchsorted(ys, np.maximum(y1, y2), side="left") - start
-    edge = np.repeat(np.arange(pts.shape[0]), count)
-    rows = np.arange(edge.size) + np.repeat(start - np.cumsum(count) + count, count)
-    xc = x1[edge] + (ys[rows] - y1[edge]) * (x2 - x1)[edge] / (y2 - y1)[edge]
-    # Crossing contributes to all cells whose center lies right of it.
-    cmin = np.floor((xc - xmin) / cw - 0.5).astype(np.int64) + 1
-    ok = cmin < raster
-    tag = np.repeat(np.arange(len(polys)), sizes)[edge[ok]]
-    return rows[ok], np.clip(cmin[ok], 0, raster - 1), tag
+    # Each vertex's rows below it bound both its edges' spans.
+    below = _grid_count(ys, y1, (y1 - ymin) / ch - 0.5, "left")
+    start = np.minimum(below, below[nxt])
+    count = np.abs(below - below[nxt])
+    rows = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+    x, y, dx, dy = (np.repeat(v, count) for v in (x1, y1, x1[nxt] - x1, y1[nxt] - y1))
+    # The crossing xc = x + (ys[rows] - y) * dx / dy contributes to all cells
+    # whose center lies right of it, from floor((xc - xmin) / cw - 0.5) + 1;
+    # both are worked in place, in that order of operations.
+    c = ys[rows]
+    for op, v in ((np.subtract, y), (np.multiply, dx), (np.divide, dy), (np.add, x),
+                  (np.subtract, xmin), (np.divide, cw), (np.subtract, 0.5)):
+        op(c, v, out=c)
+    np.floor(c, out=c)
+    c += 1
+    tag = np.repeat(np.repeat(np.arange(len(polys)), sizes), count)
+    return rows, np.clip(c, 0, raster, out=c).astype(np.int64), tag
 
 
 def _footprint_counts(pred: np.ndarray, gt: np.ndarray, bounds,
                       raster: int) -> tuple[int, int, int]:
     """(n_pred, n_gt, n_both): cells inside each even-odd fill and both."""
     rows, cmin, tag = _crossing_cells((pred, gt), bounds, raster)
-    # One more key at the right edge of each polygon's odd rows closes every
-    # row even; row << 1 | tag numbers the (row, polygon) pairs.
-    odd = np.flatnonzero(np.bincount(rows << 1 | tag, minlength=2 * raster) & 1)
-    # The low bit tags the polygon, so one sort merges both key lists.
-    tagged = np.sort(np.concatenate([(rows * raster + cmin) << 1 | tag,
-                                     ((odd >> 1) * raster + raster) << 1 | odd & 1]))
-    is_gt = tagged & 1
-    in_gt = np.cumsum(is_gt)[:-1] & 1
-    in_pred = np.cumsum(is_gt ^ 1)[:-1] & 1
+    # A closed polygon crosses each row an even number of times, so every
+    # row closes even. The low bit tags the polygon, so one sort merges both
+    # key lists; keys reach 2 raster^2 + 1.
+    key_t = np.int32 if raster < 2 ** 15 else np.int64
+    tagged = np.sort(((rows * raster + cmin) << 1 | tag).astype(key_t))
+    in_gt = np.cumsum(tagged & 1, dtype=key_t)[:-1] & 1
     # Fill parity holds from one key to the next; rows close even, so the
     # run from a row's last key to the next row's first is outside both.
+    # After an even-indexed key one fill is odd, after an odd one both or
+    # neither.
     run = np.diff(tagged >> 1)
-    return int(run @ in_pred), int(run @ in_gt), int(run @ (in_pred & in_gt))
+    n_gt, n_both = int(run @ in_gt), int(run[1::2] @ in_gt[1::2])
+    return int(run[::2].sum()) - n_gt + 2 * n_both, n_gt, n_both
 
 
-def _union_bounds(a: np.ndarray, b: np.ndarray):
+def _union_bounds(a: np.ndarray, b: np.ndarray, raster: int):
     xmin = min(a[:, 0].min(), b[:, 0].min())
     xmax = max(a[:, 0].max(), b[:, 0].max())
     ymin = min(a[:, 1].min(), b[:, 1].min())
     ymax = max(a[:, 1].max(), b[:, 1].max())
-    if not (xmax > xmin and ymax > ymin):
+    # A cell must have a width and a height: one can underflow to 0 m.
+    if not (xmax > xmin and ymax > ymin and (xmax - xmin) / raster > 0
+            and (ymax - ymin) / raster > 0):
         raise MetricError("degenerate polygon extent; IoU undefined")
     return xmin, xmax, ymin, ymax
 
@@ -129,7 +162,7 @@ def footprint_ious(pred: np.ndarray, pred_heights, gt: np.ndarray, gt_heights,
         if not all(0 < h < math.inf for h in (hf_a, hc_a, hf_b, hc_b)):
             raise ValueError("prism heights must be positive and finite")
     pred, gt = np.asarray(pred, dtype=float), np.asarray(gt, dtype=float)
-    bounds = _union_bounds(pred, gt)
+    bounds = _union_bounds(pred, gt, raster)
     n_pred, n_gt, n_both = _footprint_counts(pred, gt, bounds, raster)
     union = n_pred + n_gt - n_both
     if union == 0:
@@ -185,8 +218,9 @@ def _depth_rows(b_floor: SphericalBoundary, b_ceil: SphericalBoundary, H: int,
     # (lat_row >= lat_c) are [0, kc) and its floor rows (lat_row <= lat_f)
     # are [kf, H); the rows between are wall. Ceiling latitudes are positive
     # and floor ones negative, so max(kc) <= min(kf) across any two maps.
-    kc = np.searchsorted(-lat_rows, -b_ceil.lat, side="right")
-    kf = np.searchsorted(-lat_rows, -b_floor.lat, side="left")
+    # latitude_to_row places each latitude on the evenly spaced rows.
+    kc = _grid_count(-lat_rows, -b_ceil.lat, latitude_to_row(b_ceil.lat, H), "right")
+    kf = _grid_count(-lat_rows, -b_floor.lat, latitude_to_row(b_floor.lat, H), "left")
     return _DepthRows(kc, kf, camera_height / np.tan(-b_floor.lat),
                       h_c / np.tan(lat_rows[:kc.max()]),
                       camera_height / np.tan(-lat_rows[kf.min():]))
@@ -220,17 +254,6 @@ def layout_depth(b_floor: SphericalBoundary, b_ceil: SphericalBoundary,
     return depth
 
 
-def _band(lo, hi, rows, row0, wall):
-    """(row depth, wall depth) of each element in rows [lo[j], hi[j]) of column j.
-
-    rows[i - row0] is the depth of row i in the map that holds it.
-    """
-    n = np.maximum(hi - lo, 0)
-    col = np.repeat(np.arange(n.size), n)
-    row = np.arange(col.size) + np.repeat(lo - np.cumsum(n) + n, n)
-    return rows[row - row0], wall[col]
-
-
 def _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H: int):
     """depth_metrics of the two layout_depth maps, from row limits alone.
 
@@ -241,8 +264,9 @@ def _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H: int):
     """
     p = _depth_rows(pred_floor, pred_ceil, H, DEFAULT_CAMERA_HEIGHT)
     g = _depth_rows(gt_floor, gt_ceil, H, DEFAULT_CAMERA_HEIGHT)
-    if H < 1 or not all(np.all((v > 0) & (v < math.inf))
-                        for r in (p, g) for v in r[2:]):
+    # Every depth either map can use, the bands' lookup table below.
+    depths = np.concatenate([p.ceil, g.ceil, p.floor, g.floor, g.wall, p.wall])
+    if H < 1 or not (depths.min() > 0 and depths.max() < math.inf):
         # Rare: the map path rejects empty maps, raises for a bad depth some
         # pixel uses and ignores one that no pixel uses. Loaded scenes get here
         # when depths underflow to 0, e.g. from ceiling latitudes of 1e-322.
@@ -257,18 +281,21 @@ def _view_depth_metrics(pred_floor, pred_ceil, gt_floor, gt_ceil, H: int):
     cover_f = np.cumsum(np.bincount(np.maximum(p.kf, g.kf) - (H - n_f),
                                     minlength=n_f + 1))[:n_f]
     n_wall = np.minimum(p.kf, g.kf) - np.maximum(p.kc, g.kc)
-    # (a - b)^2 and the delta test are symmetric in a and b, so a band pair
-    # need not say which map is the prediction.
-    bands = [_band(g.kc, p.kc, p.ceil, 0, g.wall),
-             _band(p.kc, g.kc, g.ceil, 0, p.wall),
-             _band(p.kf, g.kf, p.floor, H - p.floor.size, g.wall),
-             _band(g.kf, p.kf, g.floor, H - g.floor.size, p.wall)]
-    a = np.concatenate([p.ceil[:n_c], p.floor[p.floor.size - n_f:], p.wall]
-                       + [x for x, _ in bands])
-    b = np.concatenate([g.ceil[:n_c], g.floor[g.floor.size - n_f:], g.wall]
-                       + [y for _, y in bands])
+    # The four bands, one expansion: rows [lo[j], hi[j]) of one map's
+    # ceiling or floor over column j % W of the other's wall. Band b's row i
+    # is depths[i + shift[b]]. (a - b)^2 and the delta test are symmetric in
+    # a and b, so a band pair need not say which map is the prediction.
+    shift = np.repeat(np.cumsum([0, p.ceil.size, g.ceil.size, p.floor.size])
+                      - [0, 0, H - p.floor.size, H - g.floor.size], W)
+    lo = np.concatenate([g.kc, p.kc, p.kf, g.kf]) + shift
+    n = np.maximum(np.concatenate([p.kc, g.kc, g.kf, p.kf]) + shift - lo, 0)
+    row = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+    a = np.concatenate([p.ceil[:n_c], p.floor[p.floor.size - n_f:], p.wall,
+                        depths[row]])
+    b = np.concatenate([g.ceil[:n_c], g.floor[g.floor.size - n_f:], g.wall,
+                        np.repeat(np.tile(depths[-2 * W:], 2), n)])
     weight = np.concatenate([cover_c, cover_f, n_wall,
-                             np.ones(a.size - n_c - n_f - W, dtype=np.int64)])
+                             np.ones(row.size, dtype=np.int64)])
     diff = a - b
     close = (a / b < DELTA_THRESHOLD) & (b / a < DELTA_THRESHOLD)
     size = H * W

@@ -12,6 +12,7 @@ seed) alone. The generator name is recorded in the scene metadata.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -222,7 +223,10 @@ def scene_from_poses(room: RoomSpec, poses: list[CameraPose], W: int,
         view_ids = [f"view{i:03d}" for i in range(len(poses))]
     frames, gt = [], {}
     for vid, pose in zip(view_ids, poses):
-        pose = replace(pose, floor_height=room.h_floor, ceil_height=room.h_ceil)
+        # A copy, not dataclasses.replace: RoomSpec bounds both heights, so
+        # none of the pose's checks need to run again.
+        pose = copy.copy(pose)
+        pose.floor_height, pose.ceil_height = float(room.h_floor), room.h_ceil
         bf, bc = _exact_boundaries(room, pose, W,
                                    (BoundaryKind.FLOOR, BoundaryKind.CEILING))
         frames.append(ViewFrame(vid, pose, bf, bc))

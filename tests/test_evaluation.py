@@ -210,6 +210,24 @@ class TestDepthAgainstReference:
         assert np.array_equal(layout_depth(bf, bc, H),
                               reference_layout_depth(bf, bc, H))
 
+    @pytest.mark.parametrize("snap", [0.0, 0.5, 1.0])
+    def test_row_limits_match_searchsorted(self, snap):
+        # Noisy L-room boundaries, with some or all columns moved exactly
+        # onto row centers, where the ceiling and floor sides differ.
+        scene = perturb(generate_scene(lshape_room(), 3, 256, seed=7),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=3))
+        rng = np.random.default_rng(5)
+        for f in scene.frames:
+            for H in (1, 2, 7, 77, 128, 256, 1000):
+                lat_f, lat_c = (_on_row_centers(b.lat, H, rng.random(b.width) < snap)
+                                for b in (f.boundary_floor, f.boundary_ceiling))
+                bf = SphericalBoundary(lat_f, BoundaryKind.FLOOR)
+                bc = SphericalBoundary(lat_c, BoundaryKind.CEILING)
+                rows = evaluation._depth_rows(bf, bc, H, 1.6)
+                lat_rows = row_to_latitude(np.arange(H), H)
+                assert np.array_equal(rows.kc, np.searchsorted(-lat_rows, -lat_c, "right"))
+                assert np.array_equal(rows.kf, np.searchsorted(-lat_rows, -lat_f, "left"))
+
     def _overflowing_wall(self, monkeypatch, W=16):
         # One floor latitude so close to the horizon that its wall distance
         # overflows; ceiling_height would reject it, so it is pinned.
@@ -535,7 +553,7 @@ class TestEvenOddRaster:
         f = scene.frames[0]
         poly = floor_polygon(f.boundary_floor, f.pose)
         gt = floor_polygon(scene.ground_truth[f.view_id][BoundaryKind.FLOOR], f.pose)
-        bounds = evaluation._union_bounds(poly, gt)
+        bounds = evaluation._union_bounds(poly, gt, 1024)
         for raster in (64, 512, 1024):
             assert evaluation._footprint_counts(poly, gt, bounds, raster) == \
                 reference_counts(poly, gt, bounds, raster)
@@ -625,6 +643,87 @@ class TestOnePassCrossings:
         assert calls == [2, 2, 2]
 
 
+class TestKeyWidths:
+    @pytest.mark.parametrize("raster", [32767, 32768, 65536])
+    def test_both_sides_of_the_int32_switch(self, raster):
+        # Keys reach 2 raster^2 + 1, which fits int32 below raster 2^15. The
+        # polygons span the bounds, so the last row and column hold keys.
+        rng = np.random.default_rng(raster)
+        angles = np.sort(rng.uniform(0, 2 * np.pi, 48))
+        star = np.column_stack([np.cos(angles), np.sin(angles)]) \
+            * rng.uniform(0.3, 1.0, (48, 1))
+        square = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        for pred, gt in ((star, square), (square, star[::-1]), (star, star * 0.9)):
+            bounds = evaluation._union_bounds(pred, gt, raster)
+            assert evaluation._footprint_counts(pred, gt, bounds, raster) == \
+                two_pass_footprint_counts(pred, gt, bounds, raster)
+
+
+@st.composite
+def grid_queries(draw):
+    """(grid, values, guess): an ascending grid made like the cell-center
+    rows, values on, between and beyond its points, and guesses of their
+    positions from the grid's closed form, some far off or not finite.
+
+    "offset" grids put a tiny step on a huge origin, so rounding repeats
+    points and the closed form misses by many points; "repeats" grids
+    repeat points outright."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(("even", "offset", "repeats")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "offset":
+        origin, step = draw(st.sampled_from((1e6, -1e6, 1e15))), 1e-12
+    else:
+        origin, step = draw(st.floats(-10, 10)), draw(st.floats(1e-3, 10))
+    grid = origin + (np.arange(n) + 0.5) * step
+    if kind == "repeats":
+        grid = np.sort(rng.choice(grid, n))
+    m = draw(st.integers(0, 100))
+    values = np.where(rng.random(m) < 0.5, rng.choice(grid, m),
+                      rng.uniform(grid[0] - 2 * step, grid[-1] + 2 * step, m))
+    extremes = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, grid[0], grid[-1]])
+    pick = rng.random(m) < 0.1
+    values[pick] = rng.choice(extremes, pick.sum())
+    with np.errstate(all="ignore"):
+        guess = (values - origin) / step - 0.5
+    guess += np.where(rng.random(m) < 0.2, rng.integers(-3, 4, m), 0)
+    pick = rng.random(m) < 0.1
+    guess[pick] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e300], pick.sum())
+    return grid, values, guess
+
+
+class TestGridCount:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_queries())
+    def test_equals_searchsorted(self, case):
+        grid, values, guess = case
+        for side in ("left", "right"):
+            got = evaluation._grid_count(grid, values, guess, side)
+            assert np.array_equal(got, np.searchsorted(grid, values, side))
+
+    def test_one_search_at_most(self, monkeypatch):
+        # On a 1e-12 step at 1e6 the guesses miss by up to thousands of rows;
+        # one np.searchsorted over the missed values places them all.
+        calls = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda a, v, side: calls.append(len(v)) or real(a, v, side))
+        grid = 1e6 + (np.arange(65536) + 0.5) * 1e-12
+        values = np.linspace(grid[0], grid[-1], 1000)
+        got = evaluation._grid_count(grid, values, (values - 1e6) / 1e-12 - 0.5, "left")
+        assert np.array_equal(got, real(grid, values, "left"))
+        assert len(calls) == 1 and 0 < calls[0] <= values.size
+
+    def test_noisy_scene_needs_no_search(self, monkeypatch):
+        # Off-grid values: every closed-form row is right the first time.
+        calls = []
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1))
+        scene = perturb(generate_scene(lshape_room(), 3, 256, seed=7),
+                        NoiseSpec(boundary_std=0.05, outlier_rate=0.02, seed=3))
+        report = evaluate_scene(scene, raster=1024)
+        assert calls == [] and 0.0 < report.iou2d < 1.0
+
+
 class TestFootprintIous:
     @settings(max_examples=50, deadline=None)
     @given(raster_cases(), raster_cases(),
@@ -633,7 +732,7 @@ class TestFootprintIous:
         pred, gt, raster = a[0], b[0], a[2]
         hp, hg = (h[0], h[1]), (h[2], h[3])
         try:
-            bounds = evaluation._union_bounds(pred, gt)
+            bounds = evaluation._union_bounds(pred, gt, raster)
         except MetricError:
             return
         ma = per_edge_even_odd_mask(pred, bounds, raster)
@@ -663,6 +762,15 @@ class TestFootprintIous:
         line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(MetricError, match="degenerate"):
             footprint_ious(line, None, line, None)
+        # Extents whose cell width or height underflows to 0 m at this raster.
+        tri = np.array([[0.0, 0.0], [1e-320, 0.0], [0.0, 1e-320]])
+        with pytest.raises(MetricError, match="degenerate"):
+            footprint_ious(tri, None, 0.5 * tri, None, 65536)
+        flat = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1e-320]])
+        with pytest.raises(MetricError, match="degenerate"):
+            footprint_ious(flat, None, flat * [0.5, 1.0], None, 65536)
+        assert iou2d(flat * [1.0, 1e300], flat * [0.5, 1e300], 65536) == \
+            pytest.approx(0.5, abs=1e-3)
 
 
 class TestOneRasterPassPerPair:

@@ -1,16 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from panolayout import geometry
 from panolayout.errors import GeometryError
 from panolayout.geometry import BoundaryKind, CameraPose, boundary_to_world, \
     ceiling_height, column_longitudes
 from panolayout.pseudolabel import fuse
 from panolayout.reprojection import build_stack, build_stacks
+from panolayout.scene import Scene, ViewFrame
+from panolayout.sceneio import dumps_document, scene_to_document
 from panolayout.synth import NoiseSpec, RoomSpec, exact_boundary, generate_scene, \
     kernel_clearance, lshape_room, ngon_room, perturb, ray_distances, \
-    square_room
+    scene_from_poses, square_room
 
 from conftest import dist_to_polygon_boundary
 
@@ -169,6 +173,40 @@ class TestGenerateScene:
         scene = generate_scene(square_room(4.0), 2, 64, seed=9)
         assert scene.meta["rng"] == "numpy-pcg64-seedsequence"
         assert scene.meta["seed"] == 9
+
+    def test_each_pose_checked_once(self, monkeypatch):
+        # scene_from_poses used to rebuild each pose with dataclasses.replace,
+        # which ran CameraPose's rotation check a second time per view.
+        calls = []
+        real = geometry.is_rotation
+        monkeypatch.setattr(geometry, "is_rotation",
+                            lambda R: calls.append(R) or real(R))
+        generate_scene(square_room(4.0), 5, 64, seed=3)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("h_floor,h_ceil", [(1.6, 0.9), (2, 1), (1, 1.25)])
+    def test_same_scene_as_replaced_poses(self, h_floor, h_ceil):
+        # The former body of scene_from_poses, kept as the reference; an int
+        # height must give the same floor_height and the same scene bytes.
+        room = RoomSpec(square_room(4.0).footprint, h_floor, h_ceil)
+        poses = [CameraPose.from_yaw(0.3 * i, (0.2 * i, 0.0, -0.1 * i), 1.3, 0.7)
+                 for i in range(3)]
+        frames, gt = [], {}
+        for i, pose in enumerate(poses):
+            pose = dataclasses.replace(pose, floor_height=h_floor, ceil_height=h_ceil)
+            bf, bc = (exact_boundary(room, pose, 64, kind)
+                      for kind in (BoundaryKind.FLOOR, BoundaryKind.CEILING))
+            frames.append(ViewFrame(f"view{i:03d}", pose, bf, bc))
+            gt[frames[-1].view_id] = {BoundaryKind.FLOOR: bf, BoundaryKind.CEILING: bc}
+        expected = Scene(frames, 64, 32, ground_truth=gt, meta={"k": 1})
+        scene = scene_from_poses(room, poses, 64, meta={"k": 1})
+        assert dumps_document(scene_to_document(scene)) == \
+            dumps_document(scene_to_document(expected))
+        for f, e in zip(scene.frames, expected.frames):
+            for field in dataclasses.fields(CameraPose):
+                got, want = getattr(f.pose, field.name), getattr(e.pose, field.name)
+                assert type(got) is type(want) and np.array_equal(got, want)
+        assert [p.floor_height for p in poses] == [1.3] * 3
 
 
 class TestPerturb:
