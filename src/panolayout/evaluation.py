@@ -9,8 +9,9 @@ keys where each fill, and both, are odd. Its work grows with the crossing
 count, not with raster^2. Row indices, here and in the depth rows, come in
 closed form from the evenly spaced rows and are checked against them
 (_grid_count), not binary-searched. A crossing right of every cell center
-keeps cmin = raster, so each polygon's rows close even with no key added. evaluate_scene and refine's IoU tracking score
-each frame's floor lift with frame_ious against footprint_truth.
+keeps cmin = raster, so each polygon's rows close even with no key added.
+evaluate_scene and refine's IoU tracking score each frame's floor lift with
+frame_ious against footprint_truth.
 Depth metrics follow the fixed-camera-height protocol: both prediction and
 ground truth are scaled to a 1.6 m camera before comparison. A depth map is
 ceiling, wall and floor down each column between two row limits; ceiling
@@ -140,10 +141,11 @@ def _footprint_counts(pred: np.ndarray, gt: np.ndarray, bounds,
 
 
 def _union_bounds(a: np.ndarray, b: np.ndarray, raster: int):
-    xmin = min(a[:, 0].min(), b[:, 0].min())
-    xmax = max(a[:, 0].max(), b[:, 0].max())
-    ymin = min(a[:, 1].min(), b[:, 1].min())
-    ymax = max(a[:, 1].max(), b[:, 1].max())
+    # np.minimum and np.maximum pass a NaN on from either polygon.
+    xmin = np.minimum(a[:, 0].min(), b[:, 0].min())
+    xmax = np.maximum(a[:, 0].max(), b[:, 0].max())
+    ymin = np.minimum(a[:, 1].min(), b[:, 1].min())
+    ymax = np.maximum(a[:, 1].max(), b[:, 1].max())
     # A cell must have a width and a height: one can underflow to 0 m.
     if not (xmax > xmin and ymax > ymin and (xmax - xmin) / raster > 0
             and (ymax - ymin) / raster > 0):

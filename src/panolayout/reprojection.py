@@ -123,7 +123,7 @@ def resample_to_columns(samples: np.ndarray, W: int, gap_max: float | None = Non
         # Only these are wrapped: in-range longitudes keep their bits.
         samples = samples.copy()
         samples[outside, 0] = wrap_longitude(lon[outside])
-    lat = _resample(samples[None], W, gap_max)[0]
+    lat = _resample_batch(samples[None], W, gap_max)[0]
     return lat, ~np.isnan(lat)
 
 
@@ -139,20 +139,23 @@ def _wrap_two_pi(x: np.ndarray) -> np.ndarray:
     return x + _TWO_PI * turns
 
 
-def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
+def _resample_batch(samples: np.ndarray, W: int, gap_max: float | None):
     """resample_to_columns for m curves of n samples each in one call.
 
-    samples is (m, n, 2) with longitudes in [-pi, pi]. Only segments within
-    gap_max are expanded into candidate crossings, keyed by column * m +
-    curve. Two scatter-mins pick one per key: the least source distance,
-    then among equals the lowest candidate index, which follows segment
-    order. Only the winners are interpolated.
+    samples is (m, n, 2) with longitudes in [-pi, pi]; gap_max None means
+    DEFAULT_GAP_FACTOR column widths. Only segments within gap_max are
+    expanded into candidate crossings, keyed by column * m + curve. Two
+    scatter-mins pick one per key: the least source distance, then among
+    equals the lowest candidate index, which follows segment order. Only
+    the winners are interpolated. The gap-valid crossings that lose a
+    column, summed over the curves, are logged once as the call's contested
+    count when there are any.
 
-    Returns (lat, n_contested): lat (m, W) is NaN where a column has no
-    winner, and n_contested counts the gap-valid crossings that lose a
-    column, summed over the curves. lat is a transposed view of a C-ordered
-    (W, m) array, the layout stacks keep.
+    Returns lat (m, W), NaN where a column has no winner: a transposed view
+    of a C-ordered (W, m) array, the layout stacks keep.
     """
+    if gap_max is None:
+        gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
     m, n = samples.shape[:2]
     # Each curve is a row of n + 1 entries closed by a copy of its first
     # sample, so segment k runs from flat entry k to entry k + 1; the entries
@@ -205,7 +208,7 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     a = segs[i]
     lat_a, lat_b, adel = lat[a], lat[a + 1], adel[i]
 
-    t = np.minimum(p, adel) / adel
+    t = p / adel
     # Columns exactly at a sample's longitude take that sample's latitude
     # verbatim; interpolation arithmetic would be a ulp off at the far end.
     at_start = centers == lon_a[i]
@@ -213,18 +216,9 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float):
     interp = lat_a + t * (lat_b - lat_a)
     out_lat = np.full(m * W, np.nan)
     out_lat[won] = np.where(at_start, lat_a, np.where(at_end, lat_b, interp))
-    return out_lat.reshape(W, m).T, key.size - won.size
-
-
-def _resample(curves: np.ndarray, W: int, gap_max: float | None):
-    """_resample_batch's lat, gap_max defaulting to DEFAULT_GAP_FACTOR
-    column widths; logs the call's contested count."""
-    if gap_max is None:
-        gap_max = DEFAULT_GAP_FACTOR * _TWO_PI / W
-    lat, n_contested = _resample_batch(curves, W, gap_max)
-    if n_contested:
-        logger.debug("resample: %d contested column crossings", n_contested)
-    return lat
+    if key.size > won.size:
+        logger.debug("resample: %d contested column crossings", key.size - won.size)
+    return out_lat.reshape(W, m).T
 
 
 def build_stacks(scene: Scene, polys: list[WorldPolyline],
@@ -253,7 +247,7 @@ def build_stacks(scene: Scene, polys: list[WorldPolyline],
                   for t in range(start // n, (stop - 1) // n + 1)]
         curves = np.concatenate([world_to_boundary_samples(
             points[a * W:b * W], frames[t].pose) for t, a, b in pieces])
-        lat = _resample(curves.reshape(-1, W, 2), W, None)
+        lat = _resample_batch(curves.reshape(-1, W, 2), W, None)
         stacks = []
         for t, a, b in pieces:
             if a == 0:   # C-ordered: fusion's summation order follows the layout

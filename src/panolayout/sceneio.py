@@ -191,7 +191,11 @@ def _array(values, ctx: str, what: str) -> np.ndarray:
             raise SceneFormatError(f"{ctx}: {what}: invalid base64: {e}") from e
         _require(len(raw) % 8 == 0,
                  f"{ctx}: {what}: packed length {len(raw)} is not a multiple of 8")
-        return np.frombuffer(raw, "<f8").astype(float)
+        arr = np.frombuffer(raw, "<f8").astype(float)
+        # A signaling NaN would raise an invalid-value warning in the first
+        # arithmetic on it (a pixel row's conversion); np.isnan does not.
+        arr[np.isnan(arr)] = np.nan
+        return arr
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as e:  # Overflow: int > float max

@@ -86,24 +86,20 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * z2 - x2 * z))
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    d1, d2 = orient(p3, p4, p1), orient(p3, p4, p2)
-    d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
 def _self_intersects(poly: np.ndarray) -> bool:
-    m = len(poly)
-    for i in range(m):
-        a1, a2 = poly[i], poly[(i + 1) % m]
-        for j in range(i + 1, m):
-            if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                continue
-            if _segments_cross(a1, a2, poly[j], poly[(j + 1) % m]):
-                return True
-    return False
+    """Whether two non-adjacent edges cross: each has one end strictly left
+    of the other's line and one end not. A vertex touching an edge from its
+    left counts; one touching from its right, or edges overlapping on one
+    line, do not. All edge pairs are tested in one pass."""
+    nxt = np.roll(poly, -1, axis=0)
+    e = nxt - poly
+    # left[k][i, j]: vertex i (k = 0) or i + 1 (k = 1) lies left of edge j.
+    left = [e[:, 0] * (q[:, None, 1] - poly[:, 1])
+            - e[:, 1] * (q[:, None, 0] - poly[:, 0]) > 0 for q in (poly, nxt)]
+    straddles = left[0] != left[1]   # edge i has an end on each side of edge j
+    cross = np.triu(straddles & straddles.T, 2)   # pairs i < j, not i, i + 1
+    cross[0, -1] = False                          # nor m - 1, 0
+    return bool(cross.any())
 
 
 def square_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) -> RoomSpec:

@@ -772,6 +772,21 @@ class TestFootprintIous:
         assert iou2d(flat * [1.0, 1e300], flat * [0.5, 1e300], 65536) == \
             pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_vertex_in_either_polygon_is_degenerate(self, nan_first):
+        nan_tri = np.array([[0.2, 0.2], [math.nan, 0.5], [0.8, 0.8]])
+        pair = (nan_tri, UNIT_SQUARE) if nan_first else (UNIT_SQUARE, nan_tri)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError,
+                               match="^degenerate polygon extent; IoU undefined$"):
+                footprint_ious(pair[0], None, pair[1], None, 64)
+        empty = np.empty((0, 2))
+        with pytest.raises(ValueError):
+            footprint_ious(empty, None, UNIT_SQUARE, None, 64)
+        with pytest.raises(ValueError):
+            footprint_ious(UNIT_SQUARE, None, empty, None, 64)
+
 
 class TestOneRasterPassPerPair:
     @pytest.fixture

@@ -162,10 +162,10 @@ def _reference_resample_sources(curves, W):
     m = curves.shape[0]
     per = max(1, _REF_CHUNK_SAMPLES // W)
     if m <= per:
-        return reprojection._resample(curves, W, None)
+        return reprojection._resample_batch(curves, W, None)
     lat = np.empty((W, m))   # the kernel's layout
     for s in range(0, m, per):
-        lat[:, s:s + per] = reprojection._resample(curves[s:s + per], W, None).T
+        lat[:, s:s + per] = reprojection._resample_batch(curves[s:s + per], W, None).T
     return lat.T
 
 

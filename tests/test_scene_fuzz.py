@@ -144,6 +144,7 @@ def mutate_packed(doc, records, index, key, op, position, char):
 @example((0, "frames", 1, "boundary_floor", "truncate", 5, "A"))
 @example((1, "ground_truth", 2, "boundary_ceiling", "flip", 7, "/"))
 @example((0, "frames", 0, "boundary_ceiling", "f8-int", 0, "A"))
+@example((1, "frames", 0, "boundary_floor", "flip", 73, "H"))   # a signaling NaN
 def test_mutated_packed_array_ends_in_documented_exit(mutation):
     base, *where = mutation
     _check_exits(mutate_packed(copy.deepcopy(BASES[base]), *where))

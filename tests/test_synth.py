@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from panolayout import geometry
 from panolayout.errors import GeometryError
@@ -13,8 +14,8 @@ from panolayout.reprojection import build_stack, build_stacks
 from panolayout.scene import Scene, ViewFrame
 from panolayout.sceneio import dumps_document, scene_to_document
 from panolayout.synth import NoiseSpec, RoomSpec, exact_boundary, generate_scene, \
-    kernel_clearance, lshape_room, ngon_room, perturb, ray_distances, \
-    scene_from_poses, square_room
+    _self_intersects, kernel_clearance, lshape_room, ngon_room, perturb, \
+    ray_distances, scene_from_poses, square_room
 
 from conftest import dist_to_polygon_boundary
 
@@ -33,6 +34,37 @@ class TestRoomSpec:
         bowtie = np.array([[0, 0], [1, 1], [1, 0], [0, 1]])
         with pytest.raises(ValueError):
             RoomSpec(bowtie, 1.6, 0.9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_regular_polygons_simple_until_a_chain_is_reversed(self, data):
+        # A regular n-gon, rotated, scaled and moved, is simple. Reversing the
+        # chain v[i], ..., v[i+k-1] joins v[i-1] to v[i+k-1] and v[i] to
+        # v[i+k]: chords with interleaved ends, which cross.
+        n = data.draw(st.integers(3, 256))
+        ang = 2.0 * math.pi * np.arange(n) / n + data.draw(st.floats(0.0, 2.0 * math.pi))
+        scale = data.draw(st.floats(0.1, 100.0))
+        offset = [data.draw(st.floats(-100.0, 100.0)) for _ in range(2)]
+        poly = scale * np.column_stack([np.cos(ang), np.sin(ang)]) + offset
+        assert not _self_intersects(poly)
+        if n >= 5:
+            k = data.draw(st.integers(2, n - 3))
+            i = data.draw(st.integers(1, n - k - 1))
+            poly[i:i + k] = poly[i:i + k][::-1].copy()
+            assert _self_intersects(poly)
+
+    def test_only_straddling_edges_cross(self):
+        def crosses(*vertices):
+            return _self_intersects(np.array(vertices, dtype=float))
+        assert crosses((0, 0), (1, 1), (1, 0), (0, 1))              # bow-tie
+        # Vertex (2, 0) on the edge (0, 0)-(4, 0), touching it from its left.
+        assert crosses((0, 0), (4, 0), (4, 4), (2, 0), (0, 4))
+        # T-junction from the right: (2, 0) on the same edge, reached from below.
+        assert not crosses((0, 0), (4, 0), (4, 2), (-1, 2), (-1, -2), (3, -2),
+                           (2, 0), (1, -1))
+        # Collinear overlapping edges: (3, 0)-(1, 0) runs back along (0, 0)-(4, 0).
+        assert not crosses((0, 0), (4, 0), (4, 1), (6, 1), (6, -1), (3, -1),
+                           (3, 0), (1, 0), (1, -2), (-1, -2))
 
     def test_bad_heights_rejected(self):
         with pytest.raises(ValueError):
