@@ -42,13 +42,17 @@ def count(rev: str) -> tuple[int, int]:
     return lines, code
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
     head = count(argv[0])
     if len(argv) > 1:
         base = count(argv[1])
         print(f"{argv[0]} against {argv[1]}: {head[0] - base[0]:+d} lines, "
               f"{head[1] - base[1]:+d} code lines")
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

@@ -21,8 +21,8 @@ arctan2 values, which lie there, and resample_to_columns wraps any other
 longitude into that range first. Each of the kernel's three angle wraps then
 sees values in [-2*pi, 4*pi), where a conditional add or subtract of 2*pi
 equals np.remainder bit for bit: fmod is exact, and x - 2*pi is exact on
-[2*pi, 4*pi] by Sterbenz's lemma. Column indices likewise stay below 2*W and
-wrap with one conditional subtract.
+[2*pi, 4*pi] by Sterbenz's lemma. Keys likewise stay below 2*W*m and wrap
+with one conditional subtract.
 
 Importing the module frees one 16 MiB block, so that glibc keeps each
 call's temporaries on the heap in library callers and the CLI alike.
@@ -30,6 +30,7 @@ call's temporaries on the heap in library callers and the CLI alike.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -127,8 +128,9 @@ def resample_to_columns(samples: np.ndarray, W: int, gap_max: float | None = Non
     return lat, ~np.isnan(lat)
 
 
-def _wrap_two_pi(x: np.ndarray) -> np.ndarray:
-    """np.remainder(x, 2*pi), bit for bit, for x in [-2*pi, 4*pi).
+def _wrap_two_pi(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.remainder(x, 2*pi), bit for bit, for x in [-2*pi, 4*pi); out=x
+    wraps in place.
 
     As fmod is exact, np.remainder returns x + 2*pi rounded once below 0,
     x itself on [0, 2*pi) and the exact x - 2*pi above. Here x gains 2*pi
@@ -136,7 +138,19 @@ def _wrap_two_pi(x: np.ndarray) -> np.ndarray:
     -0.0 into +0.0 as np.remainder does.
     """
     turns = (x < 0.0).view(np.int8) - (x >= _TWO_PI).view(np.int8)
-    return x + _TWO_PI * turns
+    return np.add(x, _TWO_PI * turns, out=out)
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(W: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only column longitudes of the keys column * m + curve, and of
+    each flat sample position's own source column (NaN at the closing
+    copies), for _resample_batch's calls of m curves of n samples."""
+    tables = (np.repeat(column_longitudes(W), m),
+              np.tile(np.append(column_longitudes(n), np.nan), m))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _resample_batch(samples: np.ndarray, W: int, gap_max: float | None):
@@ -144,12 +158,15 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float | None):
 
     samples is (m, n, 2) with longitudes in [-pi, pi]; gap_max None means
     DEFAULT_GAP_FACTOR column widths. Only segments within gap_max are
-    expanded into candidate crossings, keyed by column * m + curve. Two
-    scatter-mins pick one per key: the least source distance, then among
-    equals the lowest candidate index, which follows segment order. Only
-    the winners are interpolated. The gap-valid crossings that lose a
+    expanded into candidate crossings, keyed by column * m + curve, each
+    segment's columns as one ascending run mod W. Two scatter-mins pick one
+    per key: the least source distance, then among equals the lowest
+    candidate index. Two candidates of one segment never share a key and
+    candidate indices follow segment order, so that is the lowest segment.
+    Only the winners are interpolated. The gap-valid crossings that lose a
     column, summed over the curves, are logged once as the call's contested
-    count when there are any.
+    count when there are any. Intermediates are updated in place, each in
+    the order of operations of the one-line form that its comment gives.
 
     Returns lat (m, W), NaN where a column has no winner: a transposed view
     of a C-ordered (W, m) array, the layout stacks keep.
@@ -164,58 +181,112 @@ def _resample_batch(samples: np.ndarray, W: int, gap_max: float | None):
     ext[:, :, :n] = np.moveaxis(samples, 2, 0)
     ext[:, :, n] = ext[:, :, 0]
     lon, lat = ext.reshape(2, -1)
-    delta = _wrap_two_pi(lon[1:] - lon[:-1] + math.pi) - math.pi   # [-pi, pi]
+    # delta = _wrap_two_pi(lon[1:] - lon[:-1] + pi) - pi, in [-pi, pi]. The
+    # wrap adds +0.0 outside the seam crossings, to a sum that is not -0.0.
+    delta = lon[1:] - lon[:-1]
+    delta += math.pi
+    seam = np.flatnonzero((delta < 0.0) | (delta >= _TWO_PI))
+    wrapped = _wrap_two_pi(delta[seam])
+    delta -= math.pi
+    wrapped -= math.pi
+    delta[seam] = wrapped
     adel = np.abs(delta)
-    in_gap = (adel > 0.0) & (adel <= gap_max)
+    in_gap = adel > 0.0
+    in_gap &= adel <= gap_max
     in_gap[n::n + 1] = False
     segs = np.flatnonzero(in_gap)
-    curve, src_col = np.divmod(segs, n + 1)
-    sgn, adel = np.sign(delta[segs]), adel[segs]
-    lon_a, lon_b = lon[segs], lon[segs + 1]
+    sgn = np.sign(delta[segs])
 
     step = _TWO_PI / W
     # Enumerate covered columns per segment on a direction-normalized grid:
     # for sgn=-1 longitudes are mirrored, which maps the column grid onto
     # itself with index c -> W-1-c. Both segment endpoints use the same
-    # grid-position expression, so consecutive same-direction segments tile
-    # the columns without rounding gaps. Column indices before the wrap lie
-    # in [0, 2W), so one conditional subtract stands in for % W.
-    g_a = (sgn * lon_a + math.pi) / step - 0.5
-    g_b = (sgn * lon_b + math.pi) / step - 0.5
-    g_b = np.where(g_b < g_a, g_b + W, g_b)           # arc crosses the seam
-    c_start = np.ceil(g_a)
-    cnt = np.maximum(np.floor(g_b) - c_start + 1, 0).astype(np.int64)
-    i = np.repeat(np.arange(segs.size), cnt)          # candidate -> segment
-    c = (c_start.astype(np.int64) - (np.cumsum(cnt) - cnt))[i] + np.arange(i.size)
-    c -= W * (c >= W)
-    col = np.where(sgn[i] < 0, W - 1 - c, c)
-    key = col * m + curve[i]
+    # grid-position expression, g = (sgn * lon + pi) / step - 0.5, so
+    # consecutive same-direction segments tile the columns without rounding
+    # gaps. After the seam fix g_b >= g_a, so no count is negative.
+    g_a = sgn * lon[segs]
+    g_a += math.pi
+    g_a /= step
+    g_a -= 0.5
+    g_b = sgn * lon[1:][segs]
+    g_b += math.pi
+    g_b /= step
+    g_b -= 0.5
+    seam = np.flatnonzero(g_b < g_a)                  # arc crosses the seam
+    g_b[seam] += W
+    c_start, c_end = np.ceil(g_a, out=g_a), np.floor(g_b, out=g_b)
+    cnt = (c_end - c_start).astype(np.int64)
+    cnt += 1
+    # A segment's columns ascend from c_start, or for sgn=-1 from the mirror
+    # W-1-c_end of its last grid column, negative only past the seam. Runs
+    # start in [0, W] and so end below 2*W: keys stay below 2*W*m and wrap
+    # with one conditional subtract. base holds, at each segment's start
+    # entry, the key of its run's first column less m times that
+    # candidate's index.
+    lo = (W - 1) - c_end
+    lo -= c_start
+    lo *= sgn < 0.0
+    lo += c_start
+    lo = lo.astype(np.int64)
+    lo[seam] += W * (lo[seam] < 0)
+    lo += cnt
+    lo -= np.cumsum(cnt)
+    lo *= m
+    lo += segs // (n + 1)
+    base = np.empty(lat.size, np.int64)
+    base[segs] = lo
+    a = np.repeat(segs, cnt)                          # candidate -> start entry
+    key = base[a]
+    key += np.arange(0, m * a.size, m)
+    key[np.flatnonzero(key >= W * m)] -= W * m
+    key_lon, src_lon = _tables(W, m, n)
+    centers = key_lon[key]
 
-    centers = column_longitudes(W)[col]
-    p = _wrap_two_pi(sgn[i] * (centers - lon_a[i]))
-    p = np.where(p > _TWO_PI - _EPS, 0.0, p)              # rounding wrap at 0
-    src_dist = np.abs(_wrap_two_pi(column_longitudes(n)[src_col[i]] - centers
-                                   + math.pi) - math.pi)
-
+    # src_dist = |_wrap_two_pi(src_lon[a] - centers + pi) - pi|
+    src_dist = src_lon[a]
+    src_dist -= centers
+    src_dist += math.pi
+    _wrap_two_pi(src_dist, out=src_dist)
+    src_dist -= math.pi
+    np.abs(src_dist, out=src_dist)
     best = np.full(m * W, np.inf)
     np.minimum.at(best, key, src_dist)
     tie = np.flatnonzero(src_dist == best[key])
-    pick = np.full(m * W, i.size)
+    pick = np.full(m * W, a.size)
     np.minimum.at(pick, key[tie], tie)
-    won = np.flatnonzero(pick < i.size)
+    won = np.flatnonzero(pick < a.size)
     pick = pick[won]
-    i, p, centers = i[pick], p[pick], centers[pick]
-    a = segs[i]
-    lat_a, lat_b, adel = lat[a], lat[a + 1], adel[i]
+    a, centers = a[pick], centers[pick]
+    lon_a, lat_a, lat_b = lon[a], lat[a], lat[1:][a]
 
-    t = p / adel
+    # t = p / |delta| with p = _wrap_two_pi(sgn * (centers - lon_a)), and
+    # the wrap of p just under 2*pi, a rounding wrap at 0, taken as 0. A
+    # positive p is at most |delta| give or take rounding, so neither rule
+    # changes it, and there t equals x / delta bit for bit, as division is
+    # symmetric in sign. Where that quotient is not positive, t takes the
+    # long form.
+    x = centers - lon_a
+    delta = delta[a]
+    t = x / delta
+    back = np.flatnonzero(t <= 0.0)
+    p = x[back]
+    p *= np.sign(delta[back])
+    _wrap_two_pi(p, out=p)
+    p[p > _TWO_PI - _EPS] = 0.0
+    p /= np.abs(delta[back])
+    t[back] = p
     # Columns exactly at a sample's longitude take that sample's latitude
     # verbatim; interpolation arithmetic would be a ulp off at the far end.
-    at_start = centers == lon_a[i]
-    at_end = (centers == lon_b[i]) | (t >= 1.0)
-    interp = lat_a + t * (lat_b - lat_a)
+    # interp = lat_a + t * (lat_b - lat_a)
+    at_end = centers == lon[1:][a]
+    at_end |= t >= 1.0
+    interp = lat_b - lat_a
+    interp *= t
+    interp += lat_a
+    np.copyto(interp, lat_b, where=at_end)
+    np.copyto(interp, lat_a, where=centers == lon_a)
     out_lat = np.full(m * W, np.nan)
-    out_lat[won] = np.where(at_start, lat_a, np.where(at_end, lat_b, interp))
+    out_lat[won] = interp
     if key.size > won.size:
         logger.debug("resample: %d contested column crossings", key.size - won.size)
     return out_lat.reshape(W, m).T

@@ -7,22 +7,27 @@ stopping picks the iteration with the lowest density-map entropy, evaluated
 on grid bounds frozen at iteration zero so values stay comparable, and
 counted sparsely by density_entropy without building the grid. run lifts
 each state once, for its stacks, its entropy and its IoU against the ground
-truth, steps every iteration, discarding the last update, and keeps only the
-best state, not a snapshot per evaluation. The ground truth's floor polygons
-and heights are built once per run. The trajectory's wbc is measured
-against each iteration's own labels, whose sigma shrinks as views agree, so
-it can rise while l1 falls: compare iterations by l1.
+truth, steps every iteration but the last, whose state is scored and not
+stepped, and keeps only the best state, not a snapshot per evaluation. The
+ground truth's floor polygons and heights are built once per run. The
+trajectory's wbc is measured against each iteration's own labels, whose
+sigma shrinks as views agree, so it can rise while l1 falls: compare
+iterations by l1.
 
-run builds one _FuseWorker at its start and closes it before it returns.
-When the run re-projects at least _WORKER_SAMPLES samples in all, on a
-machine with two usable CPUs and no other live thread, the worker forks a
-process that, at every step, fuses the second half of the step's (kind,
-target) pairs, the whole ceiling kind when there are both, from the lifts
-run sends it over one duplex pipe, while run fuses the first half. Labels
-are merged in pair order, and each depends only on the lifts, so the outputs
-are byte-identical to the one-process path that fuse_labels, smaller runs
-and fewer CPUs take. Hooks and log handlers in the worker see only its own
-half.
+A step is a list of (kind, target) pairs, kind-major in frame order, and
+_step_pairs turns each into its losses and its damped latitudes; the losses
+are averaged in pair order. run builds one _FuseWorker at its start and
+closes it before it returns. When the run re-projects at least
+_WORKER_SAMPLES samples in all, on a machine with two usable CPUs and no
+other live thread, the worker forks a process that, at every step, steps the
+second half of the pairs, the whole ceiling kind when there are both, while
+run's process steps the first half. run lifts the worker's kind first and
+sends it those lifts and its targets' latitudes over one duplex pipe, lifts
+the rest, steps its half, scores the state and then takes the worker's list;
+the step is its own list followed by the worker's. Each result depends only
+on the lifts and latitudes, so the outputs are byte-identical to the
+one-process path that smaller runs and fewer CPUs take. Hooks and log
+handlers in the worker see only its own half.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .consistency import GRID_SIZE_DEFAULT, PADDING_DEFAULT, check_grid, \
     data_bounds, density_entropy
 from .errors import MetricError
 from .evaluation import footprint_truth, frame_ious
-from .geometry import SphericalBoundary
+from .geometry import BoundaryKind, SphericalBoundary
 from .pseudolabel import SIGMA_FLOOR_DEFAULT, check_fusion, fuse, l1_loss, \
     wbc_loss
 from .reprojection import build_stacks
@@ -132,7 +137,11 @@ def fuse_labels(scene: Scene, polys, kinds, cfg: TrainConfig):
     Each kind is stacked from the lifts in polys (Scene.world_polylines) of
     the configured view subset, and each stack is fused as it is yielded.
     """
-    return _fuse_pairs(scene, polys, _pairs(scene, kinds), cfg)
+    pairs = _pairs(scene, kinds)
+    labels = {kind: {} for kind in kinds}
+    for (kind, view), pl in zip(pairs, _labels(scene, polys, pairs, cfg)):
+        labels[kind][view] = pl
+    return labels
 
 
 def _pairs(scene: Scene, kinds) -> list:
@@ -140,60 +149,105 @@ def _pairs(scene: Scene, kinds) -> list:
     return [(kind, f.view_id) for kind in kinds for f in scene.frames]
 
 
-def _fuse_pairs(scene: Scene, polys, pairs, cfg: TrainConfig) -> dict:
-    """fuse_labels for the given (kind, target view) pairs, in their order.
-    Only the poses, view ids and W of scene are read; the boundaries come
-    from polys."""
+def _lats(scene: Scene, pairs) -> list:
+    """The current latitudes of each (kind, target view) pair's boundary."""
+    frames = {f.view_id: f for f in scene.frames}
+    return [frames[view].boundary(kind).lat for kind, view in pairs]
+
+
+def _labels(scene: Scene, polys, pairs, cfg: TrainConfig):
+    """Yield the pseudo-label of each (kind, target view) pair, in pair
+    order. Only the poses, view ids and W of scene are read; the boundaries
+    come from polys."""
     contributors = set(select_views(scene.view_ids, cfg.view_fraction))
-    labels = {}
     for kind in dict.fromkeys(k for k, _ in pairs):
         sources = [p for p in polys
                    if p.kind == kind and p.source_view in contributors]
         targets = [t for k, t in pairs if k == kind]
-        labels[kind] = {s.target_view: fuse(s, cfg.estimator, cfg.sigma_floor)
-                        for s in build_stacks(scene, sources, targets)}
-    return labels
+        for s in build_stacks(scene, sources, targets):
+            yield fuse(s, cfg.estimator, cfg.sigma_floor)
+
+
+def _step_pairs(scene: Scene, polys, pairs, lats, cfg: TrainConfig,
+                update: bool) -> list:
+    """Each (kind, target view) pair's (wbc, l1, new lat) in pair order.
+
+    lats holds each pair's current latitudes. The losses are measured
+    against the pair's pseudo-label, fused from polys as in _labels; new lat
+    is the damped step toward that label, or None when update is false.
+    With loss="wbc" the per-column step is scaled by min(1, sigma_ref^2 /
+    sigma^2), sigma_ref being the label's median sigma.
+    """
+    out = []
+    for lat, pl in zip(lats, _labels(scene, polys, pairs, cfg)):
+        new_lat = None
+        if update:
+            if cfg.loss == "wbc":
+                sigma_ref = float(np.median(pl.sigma))
+                step = cfg.damping * np.minimum(1.0, (sigma_ref / pl.sigma) ** 2)
+            else:
+                step = np.full_like(lat, cfg.damping)
+            new_lat = np.where(step >= 1.0, pl.lat_bar, lat + step * (pl.lat_bar - lat))
+        out.append((wbc_loss(lat, pl), l1_loss(lat, pl), new_lat))
+    return out
+
+
+def _losses(steps) -> tuple[float, float]:
+    """(mean wbc, mean l1) of _step_pairs results, summed in their order."""
+    return float(np.mean([s[0] for s in steps])), float(np.mean([s[1] for s in steps]))
+
+
+def _stepped(scene: Scene, pairs, steps) -> Scene:
+    """scene with each pair's boundary replaced by its new lat from steps."""
+    updates = {f.view_id: {} for f in scene.frames}
+    for (kind, view), (_, _, lat) in zip(pairs, steps):
+        updates[view][kind] = SphericalBoundary(lat, kind)
+    return scene.with_boundaries(updates)
 
 
 class _FuseWorker:
-    """A forked process that fuses the second half of every step's (kind,
-    target) pairs while run's process fuses the first half.
+    """A forked process that steps the second half of every step's (kind,
+    target) pairs while run's process steps the first half.
 
     It starts only where os.fork and os.sched_getaffinity exist, at least two
     CPUs are usable, no other thread is alive (a fork copies only the calling
     one) and the run re-projects at least _WORKER_SAMPLES samples in all.
     Otherwise, or when no pipe or fork can be had, pid stays None and every
-    pair is fused in this process. Each step sends the worker the lifts of
-    its kinds over one duplex multiprocessing.Pipe and receives its labels,
-    or the exception its half raised. Poses, view ids and W come from the
-    fork-time scene: refine never changes them. A worker that ends without a
-    reply is closed and its half fused here.
+    pair is stepped in this process. Each step sends the worker, over one
+    duplex multiprocessing.Pipe, the lifts of its kinds, its targets'
+    current latitudes and whether to update; it replies with _step_pairs'
+    list for its pairs, or the exception its half raised. No label crosses
+    the pipe. Poses, view ids and W come from the fork-time scene: refine
+    never changes them. A worker that ends without a reply is closed and its
+    half stepped here.
     """
 
     def __init__(self, scene: Scene, cfg: TrainConfig, pairs):
         samples = (cfg.max_iters + 1) * len(scene.kinds()) * check_step(scene, cfg)
         half = len(pairs) // 2
-        self.mine, self.theirs, self.pid = pairs[:half], pairs[half:], None
-        self.kinds = {k for k, _ in self.theirs}
+        self.cfg, self.pairs, self.pid = cfg, pairs, None
+        self.mine, self.theirs = pairs[:half], pairs[half:]
+        self.kinds = tuple(dict.fromkeys(k for k, _ in self.theirs))
         if (samples < _WORKER_SAMPLES or not hasattr(os, "fork")
                 or not hasattr(os, "sched_getaffinity")
                 or len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1):
             return
         try:
             self.conn, conn = multiprocessing.Pipe()
-        except OSError:   # no pipe to be had: fuse in this process
+        except OSError:   # no pipe to be had: step in this process
             return
         try:
             self.pid = os.fork()
-        except OSError:   # no fork to be had: fuse in this process
+        except OSError:   # no fork to be had: step in this process
             self.conn.close()
         if self.pid == 0:
             try:
                 self.conn.close()   # else the child never sees run close its end
                 while True:   # until EOFError: run closed its end
-                    polys = conn.recv()
+                    polys, lats, update = conn.recv()
                     try:
-                        reply = True, _fuse_pairs(scene, polys, self.theirs, cfg)
+                        reply = True, _step_pairs(scene, polys, self.theirs, lats,
+                                                  cfg, update)
                     except Exception as e:
                         reply = False, e
                     conn.send(reply)
@@ -201,25 +255,47 @@ class _FuseWorker:
                 os._exit(0)
         conn.close()
 
-    def fuse_labels(self, scene: Scene, polys, cfg: TrainConfig) -> dict:
+    def lift(self, scene: Scene, update: bool) -> list:
+        """The lifts of scene.world_polylines(). While the worker lives its
+        kinds are lifted first and sent, then the rest: the list is grouped
+        by kind, not by frame."""
+        if self.pid is None:
+            return scene.world_polylines()
+        polys = scene.world_polylines(self.kinds)
+        self.send(scene, polys, update)
+        return polys + scene.world_polylines(
+            tuple(k for k in BoundaryKind if k not in self.kinds))
+
+    def send(self, scene: Scene, polys, update: bool) -> None:
+        """Start the worker's half of scene's step."""
         if self.pid is not None:
             try:
-                self.conn.send([p for p in polys if p.kind in self.kinds])
+                self.conn.send(([p for p in polys if p.kind in self.kinds],
+                                _lats(scene, self.theirs), update))
             except OSError:   # the worker is gone
                 self.close()
+
+    def step_here(self, scene: Scene, polys, update: bool) -> list:
+        """_step_pairs for this process's pairs: the first half while the
+        worker lives, else all."""
+        pairs = self.mine if self.pid is not None else self.pairs
+        return _step_pairs(scene, polys, pairs, _lats(scene, pairs), self.cfg, update)
+
+    def collect(self, scene: Scene, polys, update: bool) -> list:
+        """The worker's results for the step that send started, [] when
+        step_here stepped every pair. Its exception is raised here; a
+        worker that ended is closed and its half stepped here."""
         if self.pid is None:
-            return _fuse_pairs(scene, polys, self.mine + self.theirs, cfg)
-        labels = _fuse_pairs(scene, polys, self.mine, cfg)
+            return []
         try:
             ok, theirs = self.conn.recv()
         except Exception:   # no reply, or a cut one: the worker ended
             self.close()
-            ok, theirs = True, _fuse_pairs(scene, polys, self.theirs, cfg)
+            return _step_pairs(scene, polys, self.theirs, _lats(scene, self.theirs),
+                               self.cfg, update)
         if not ok:
             raise theirs
-        for kind, kind_labels in theirs.items():   # a split kind: theirs last
-            labels.setdefault(kind, {}).update(kind_labels)
-        return labels
+        return theirs
 
     def close(self) -> None:
         """Close the pipe and reap the worker; safe to call twice."""
@@ -239,26 +315,36 @@ def self_train_step(scene: Scene, cfg: TrainConfig, polys, worker=None):
     Returns (updated scene, (mean_wbc, mean_l1)) with losses measured before
     the update. With loss="wbc" the per-column step is scaled by
     min(1, sigma_ref^2 / sigma^2), sigma_ref being the view's median sigma,
-    which damps updates where the re-projections disagree. worker, run's
-    _FuseWorker or None, fuses half of the labels in a second process.
+    which damps updates where the re-projections disagree. worker, a
+    _FuseWorker built for scene's pairs or None, steps half of the pairs in
+    a second process.
     """
-    kinds = scene.kinds()
-    labels = fuse_labels(scene, polys, kinds, cfg) if worker is None \
-        else worker.fuse_labels(scene, polys, cfg)
-    wbc, l1, updates = [], [], {f.view_id: {} for f in scene.frames}
-    for kind in kinds:   # kind-major, frame order: the losses' summation order
-        for f in scene.frames:
-            pl, lat = labels[kind][f.view_id], f.boundary(kind).lat
-            wbc.append(wbc_loss(lat, pl))
-            l1.append(l1_loss(lat, pl))
-            if cfg.loss == "wbc":
-                sigma_ref = float(np.median(pl.sigma))
-                step = cfg.damping * np.minimum(1.0, (sigma_ref / pl.sigma) ** 2)
-            else:
-                step = np.full_like(lat, cfg.damping)
-            new_lat = np.where(step >= 1.0, pl.lat_bar, lat + step * (pl.lat_bar - lat))
-            updates[f.view_id][kind] = SphericalBoundary(new_lat, kind)
-    return scene.with_boundaries(updates), (float(np.mean(wbc)), float(np.mean(l1)))
+    pairs = _pairs(scene, scene.kinds())
+    if worker is None:
+        steps = _step_pairs(scene, polys, pairs, _lats(scene, pairs), cfg, True)
+    else:
+        worker.send(scene, polys, True)
+        steps = worker.step_here(scene, polys, True) + worker.collect(scene, polys, True)
+    return _stepped(scene, pairs, steps), _losses(steps)
+
+
+def _scores(state: Scene, polys, truth, bounds, cfg: TrainConfig, k: int):
+    """(h_mlc, iou2d, iou3d) of iteration k's state from its lifts polys:
+    the entropy on the frozen bounds, and the mean IoUs against truth. The
+    IoUs are None without truth, and with a warning where MetricError
+    leaves them undefined; iou3d also where truth has no heights."""
+    h_mlc = density_entropy(polys, cfg.grid_size, cfg.grid_size, cfg.padding,
+                            bounds=bounds)
+    if truth is None:
+        return h_mlc, None, None
+    try:
+        vals = list(frame_ious(state, polys, truth, _TRAJECTORY_IOU_RASTER))
+    except MetricError as e:
+        logger.warning("iteration %d: IoU not recorded: %s", k, e)
+        return h_mlc, None, None
+    vals3 = [v3 for _, v3 in vals if v3 is not None]
+    return (h_mlc, float(np.mean([v2 for v2, _ in vals])),
+            float(np.mean(vals3)) if vals3 else None)
 
 
 def run(scene: Scene, cfg: TrainConfig):
@@ -275,32 +361,26 @@ def run(scene: Scene, cfg: TrainConfig):
     records: list[IterationRecord] = []
     state = best_state = scene
     best_h, best_iter, bounds = math.inf, 0, None
-    worker = _FuseWorker(scene, cfg, _pairs(scene, scene.kinds()))   # checks the step
+    pairs = _pairs(scene, scene.kinds())
+    worker = _FuseWorker(scene, cfg, pairs)   # checks the step
     try:
         truth = None if scene.ground_truth is None else footprint_truth(scene)
         for k in range(cfg.max_iters + 1):
-            polys = state.world_polylines()   # the one lift of this state
-            # The last step's update is unused.
-            next_state, losses = self_train_step(state, cfg, polys, worker)
-            rec = IterationRecord(k, *losses)
-            if k % cfg.eval_every == 0 or k == cfg.max_iters:
-                bounds = data_bounds(polys) if bounds is None else bounds
-                rec.h_mlc = density_entropy(polys, cfg.grid_size, cfg.grid_size,
-                                            cfg.padding, bounds=bounds)
-                if truth is not None:
-                    try:
-                        vals = list(frame_ious(state, polys, truth,
-                                               _TRAJECTORY_IOU_RASTER))
-                    except MetricError as e:
-                        logger.warning("iteration %d: IoU not recorded: %s", k, e)
-                    else:
-                        rec.iou2d = float(np.mean([v2 for v2, _ in vals]))
-                        vals3 = [v3 for _, v3 in vals if v3 is not None]
-                        rec.iou3d = float(np.mean(vals3)) if vals3 else None
-                if rec.h_mlc < best_h:
-                    best_h, best_iter, best_state = rec.h_mlc, k, state
-            records.append(rec)
-            state = next_state
+            update = k < cfg.max_iters   # the last state is scored, not stepped
+            polys = worker.lift(state, update)   # the one lift of this state
+            steps = worker.step_here(state, polys, update)
+            scores = None, None, None
+            try:   # the state is scored while the worker steps its half
+                if k % cfg.eval_every == 0 or not update:
+                    bounds = data_bounds(polys) if bounds is None else bounds
+                    scores = _scores(state, polys, truth, bounds, cfg, k)
+            finally:   # an error of the worker's half wins, as in one process
+                steps += worker.collect(state, polys, update)
+            records.append(IterationRecord(k, *_losses(steps), *scores))
+            if scores[0] is not None and scores[0] < best_h:
+                best_h, best_iter, best_state = scores[0], k, state
+            if update:
+                state = _stepped(state, pairs, steps)
     finally:
         worker.close()
     return TrainTrajectory(records, best_iter), best_state

@@ -87,19 +87,25 @@ def _signed_area(poly: np.ndarray) -> float:
 
 
 def _self_intersects(poly: np.ndarray) -> bool:
-    """Whether two non-adjacent edges cross: each has one end strictly left
-    of the other's line and one end not. A vertex touching an edge from its
-    left counts; one touching from its right, or edges overlapping on one
-    line, do not. All edge pairs are tested in one pass."""
+    """Whether two non-adjacent edges share a point: they cross, one touches
+    the other from either side, or they overlap on one line. All edge pairs
+    are tested in one pass."""
     nxt = np.roll(poly, -1, axis=0)
     e = nxt - poly
-    # left[k][i, j]: vertex i (k = 0) or i + 1 (k = 1) lies left of edge j.
-    left = [e[:, 0] * (q[:, None, 1] - poly[:, 1])
-            - e[:, 1] * (q[:, None, 0] - poly[:, 0]) > 0 for q in (poly, nxt)]
-    straddles = left[0] != left[1]   # edge i has an end on each side of edge j
-    cross = np.triu(straddles & straddles.T, 2)   # pairs i < j, not i, i + 1
-    cross[0, -1] = False                          # nor m - 1, 0
-    return bool(cross.any())
+    # side[k][i, j]: the side of edge j's line that vertex i (k = 0) or
+    # i + 1 (k = 1) lies on, 0 on the line.
+    side = [np.sign(e[:, 0] * (q[:, None, 1] - poly[:, 1])
+                    - e[:, 1] * (q[:, None, 0] - poly[:, 0])) for q in (poly, nxt)]
+    reaches = side[0] * side[1] <= 0   # edge i meets edge j's line
+    meet = np.triu(reaches & reaches.T, 2)   # pairs i < j, not i, i + 1
+    meet[0, -1] = False                      # nor m - 1, 0
+    i, j = np.nonzero(meet)
+    # Edges on one line meet only where their extents overlap.
+    s0, s1 = side
+    on_line = (s0[i, j] == 0) & (s1[i, j] == 0) | (s0[j, i] == 0) & (s1[j, i] == 0)
+    lo, hi = np.minimum(poly, nxt), np.maximum(poly, nxt)
+    apart = (np.maximum(lo[i], lo[j]) > np.minimum(hi[i], hi[j])).any(axis=1)
+    return bool((~(on_line & apart)).any())
 
 
 def square_room(size: float = 4.0, h_floor: float = 1.6, h_ceil: float = 0.9) -> RoomSpec:

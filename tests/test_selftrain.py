@@ -15,7 +15,7 @@ import pytest
 
 from panolayout import selftrain
 from panolayout.consistency import data_bounds, density_map, mlc_entropy
-from panolayout.errors import CoverageError
+from panolayout.errors import CoverageError, MetricError
 from panolayout.evaluation import floor_polygon, footprint_ious, \
     footprint_truth, frame_ious
 from panolayout.geometry import BoundaryKind, CameraPose, SphericalBoundary, \
@@ -556,6 +556,24 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+class _RecordedConn:
+    """A pipe end that records what it sends and receives."""
+
+    def __init__(self, conn):
+        self.conn, self.sent, self.received = conn, [], []
+
+    def send(self, msg):
+        self.sent.append(msg)
+        self.conn.send(msg)
+
+    def recv(self):
+        self.received.append(self.conn.recv())
+        return self.received[-1]
+
+    def close(self):
+        self.conn.close()
+
+
 class TestFuseWorker:
     """run's forked fusion worker, forced on small scenes by a zero sample
     threshold and two usable CPUs. The parent fuses the first half of each
@@ -618,23 +636,70 @@ class TestFuseWorker:
 
     @pytest.mark.parametrize("make", ["lroom", "floor_only"])
     def test_labels_keep_serial_order_and_bits(self, make, forks):
+        # Each pair's losses and update, which its label sets, come back from
+        # the two processes in the one-process order and bits.
         scene, cfg = getattr(self, make)(), TrainConfig()
         polys = scene.world_polylines()
-        want = fuse_labels(scene, polys, scene.kinds(), cfg)
-        worker = selftrain._FuseWorker(
-            scene, cfg, [(k, f.view_id) for k in scene.kinds() for f in scene.frames])
+        pairs = selftrain._pairs(scene, scene.kinds())
+        want = selftrain._step_pairs(scene, polys, pairs,
+                                     selftrain._lats(scene, pairs), cfg, True)
+        worker = selftrain._FuseWorker(scene, cfg, pairs)
         try:
-            got = worker.fuse_labels(scene, polys, cfg)
+            worker.send(scene, polys, True)
+            got = worker.step_here(scene, polys, True) + \
+                worker.collect(scene, polys, True)
         finally:
             worker.close()
         _assert_no_child()
         assert forks == [os.getpid()]
-        assert [(k, list(v)) for k, v in got.items()] == \
-            [(k, list(v)) for k, v in want.items()]
-        for kind, labels in want.items():
-            for view, pl in labels.items():
-                for a, b in zip(astuple(got[kind][view]), astuple(pl)):
-                    assert np.array_equal(a, b)
+        assert len(got) == len(want) == len(pairs)
+        for (wbc, l1, lat), (want_wbc, want_l1, want_lat) in zip(got, want):
+            assert (wbc.hex(), l1.hex()) == (want_wbc.hex(), want_l1.hex())
+            assert np.array_equal(lat, want_lat)
+
+    @pytest.mark.parametrize("update", [True, False])
+    def test_no_label_crosses_the_pipe(self, forks, update):
+        # The worker gets lifts, latitudes and the update flag, and replies
+        # with floats and latitude arrays (None when not updating).
+        scene, cfg = self.lroom(), TrainConfig()
+        polys = scene.world_polylines()
+        pairs = selftrain._pairs(scene, scene.kinds())
+        worker = selftrain._FuseWorker(scene, cfg, pairs)
+        conn = worker.conn = _RecordedConn(worker.conn)
+        try:
+            worker.send(scene, polys, update)
+            worker.step_here(scene, polys, update)
+            theirs = worker.collect(scene, polys, update)
+        finally:
+            worker.close()
+        _assert_no_child()
+        [(lifts, lats, flag)] = conn.sent
+        assert flag is update
+        assert [(p.kind, p.source_view) for p in lifts] == \
+            [(BoundaryKind.CEILING, f.view_id) for f in scene.frames]
+        assert [lat is f.boundary_ceiling.lat for lat, f in zip(lats, scene.frames)] \
+            == [True] * len(scene.frames)
+        assert conn.received == [(True, theirs)] and len(theirs) == len(scene.frames)
+        for wbc, l1, lat in theirs:
+            assert type(wbc) is float and type(l1) is float
+            assert lat is None if not update else \
+                type(lat) is np.ndarray and lat.shape == (scene.image_width,)
+
+    @pytest.mark.parametrize("worker", [True, False])
+    def test_no_update_is_discarded(self, worker, forks, monkeypatch):
+        # max_iters steps make max_iters states past the input, no more.
+        if not worker:
+            monkeypatch.setattr(selftrain, "_WORKER_SAMPLES", math.inf)
+        built, with_boundaries = [], Scene.with_boundaries
+
+        def counting(scene, boundaries):
+            built.append(os.getpid())
+            return with_boundaries(scene, boundaries)
+        monkeypatch.setattr(Scene, "with_boundaries", counting)
+        run(self.lroom(), TrainConfig(max_iters=3, grid_size=128))
+        _assert_no_child()
+        assert forks == ([os.getpid()] if worker else [])
+        assert built == [os.getpid()] * 3
 
     def test_worker_exception_is_the_serial_one(self, forks, monkeypatch):
         scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
@@ -654,6 +719,26 @@ class TestFuseWorker:
         assert type(got.value) is type(ref.value)
         assert str(got.value) == str(ref.value) == "no cover for 'view004'"
         assert last not in seen   # raised in the worker, not fused again here
+
+    def test_worker_exception_wins_over_a_scoring_error(self, forks, monkeypatch):
+        # In one process every pair is stepped before the state is scored.
+        scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
+        last = (BoundaryKind.CEILING, scene.frames[-1].view_id)
+
+        def fail(stack):
+            if (stack.kind, stack.target_view) == last:
+                raise CoverageError("the worker's half")
+        self.spy_fuse(monkeypatch, fail)
+
+        def no_entropy(*args, **kwargs):
+            raise MetricError("no entropy")
+        monkeypatch.setattr(selftrain, "density_entropy", no_entropy)
+        with pytest.raises(CoverageError, match="the worker's half"):
+            _serial_run(scene, cfg)
+        with pytest.raises(CoverageError, match="the worker's half"):
+            run(scene, cfg)
+        _assert_no_child()
+        assert forks == [os.getpid()]
 
     def test_parent_half_exception_propagates(self, forks, monkeypatch):
         scene, cfg = self.lroom(), TrainConfig(max_iters=2, grid_size=128)
@@ -728,16 +813,16 @@ class TestFuseWorker:
                                                            monkeypatch):
         scene, cfg = self.lroom(), TrainConfig(max_iters=3, grid_size=128)
         ref = _serial_run(scene, cfg)
-        step, killed = selftrain.self_train_step, []
+        lift, killed = selftrain._FuseWorker.lift, []
 
-        def kill_at_step_2(state, cfg, polys, worker):
+        def kill_at_step_2(worker, state, update):
             if len(killed) == 2:
                 os.kill(worker.pid, signal.SIGKILL)
                 # Wait for the death but leave the reaping to close.
                 os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
             killed.append(worker.pid)
-            return step(state, cfg, polys, worker)
-        monkeypatch.setattr(selftrain, "self_train_step", kill_at_step_2)
+            return lift(worker, state, update)
+        monkeypatch.setattr(selftrain._FuseWorker, "lift", kill_at_step_2)
         self.assert_serial_result(scene, cfg, ref)
         assert forks == [os.getpid()]
         assert killed[2] is not None and killed[3] is None   # closed at step 2

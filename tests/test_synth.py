@@ -53,18 +53,25 @@ class TestRoomSpec:
             poly[i:i + k] = poly[i:i + k][::-1].copy()
             assert _self_intersects(poly)
 
-    def test_only_straddling_edges_cross(self):
+    def test_edges_sharing_a_point_intersect(self):
         def crosses(*vertices):
             return _self_intersects(np.array(vertices, dtype=float))
         assert crosses((0, 0), (1, 1), (1, 0), (0, 1))              # bow-tie
         # Vertex (2, 0) on the edge (0, 0)-(4, 0), touching it from its left.
         assert crosses((0, 0), (4, 0), (4, 4), (2, 0), (0, 4))
         # T-junction from the right: (2, 0) on the same edge, reached from below.
-        assert not crosses((0, 0), (4, 0), (4, 2), (-1, 2), (-1, -2), (3, -2),
-                           (2, 0), (1, -1))
+        assert crosses((0, 0), (4, 0), (4, 2), (-1, 2), (-1, -2), (3, -2),
+                       (2, 0), (1, -1))
         # Collinear overlapping edges: (3, 0)-(1, 0) runs back along (0, 0)-(4, 0).
-        assert not crosses((0, 0), (4, 0), (4, 1), (6, 1), (6, -1), (3, -1),
-                           (3, 0), (1, 0), (1, -2), (-1, -2))
+        assert crosses((0, 0), (4, 0), (4, 1), (6, 1), (6, -1), (3, -1),
+                       (3, 0), (1, 0), (1, -2), (-1, -2))
+        # Collinear edges that do not overlap, and edges that only come close.
+        assert not crosses((0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0),
+                           (3, 2), (0, 2))
+        assert not crosses((0, 0), (4, 0), (4, 2), (2, 1e-9), (0, 2))
+        with pytest.raises(ValueError, match="simple polygon"):
+            RoomSpec([[0, 0], [4, 0], [4, 2], [-1, 2], [-1, -2], [3, -2],
+                      [2, 0], [1, -1]], 1.6, 0.9)
 
     def test_bad_heights_rejected(self):
         with pytest.raises(ValueError):
